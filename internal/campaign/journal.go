@@ -90,6 +90,16 @@ func sha256hex(data []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// shortSHA clips a digest to 12 characters for error messages. Digests
+// read back from a journal are untrusted and may be shorter (or empty),
+// so it never slices past the end.
+func shortSHA(s string) string {
+	if len(s) > 12 {
+		return s[:12]
+	}
+	return s
+}
+
 // recordDigest is the per-unit contribution to the checkpoint
 // aggregate: status, attempt failures and the result payload digest.
 func recordDigest(rec unitRecord) string {
@@ -185,7 +195,7 @@ func (j *journal) load(raw []byte, want journalHeader) (keep int64, err error) {
 			}
 			if h.Kind != want.Kind || h.Units != want.Units || h.ConfigSHA != want.ConfigSHA {
 				return 0, fmt.Errorf("campaign: journal %s belongs to a different campaign (kind=%s units=%d config=%s; this run is kind=%s units=%d config=%s) — refusing to resume",
-					j.path, h.Kind, h.Units, h.ConfigSHA[:12], want.Kind, want.Units, want.ConfigSHA[:12])
+					j.path, h.Kind, h.Units, shortSHA(h.ConfigSHA), want.Kind, want.Units, shortSHA(want.ConfigSHA))
 			}
 			keep = lineEnd
 			lineStart = lineEnd
@@ -210,7 +220,7 @@ func (j *journal) load(raw []byte, want journalHeader) (keep int64, err error) {
 		if rec.Status == StatusOK {
 			if got := sha256hex(rec.Result); got != rec.ResultSHA {
 				return 0, fmt.Errorf("campaign: journal %s: unit %d result digest mismatch (journal %s, payload %s) — journal corrupted",
-					j.path, rec.Unit, rec.ResultSHA[:12], got[:12])
+					j.path, rec.Unit, shortSHA(rec.ResultSHA), shortSHA(got))
 			}
 		}
 		j.restored[rec.Unit] = rec

@@ -273,3 +273,29 @@ func TestJournalRequiresCodecs(t *testing.T) {
 		t.Fatalf("codec-less run: %v %+v", err, run.Outcomes)
 	}
 }
+
+// TestJournalMalformedDigestsFailClosed feeds journals whose digests are
+// missing or shorter than the 12 characters error messages quote: each
+// must be refused with an error, never a panic.
+func TestJournalMalformedDigestsFailClosed(t *testing.T) {
+	src := intSource(6, nil)
+	header := fmt.Sprintf(`{"campaign":1,"kind":"test","units":6,"config_sha256":%q}`+"\n", sha256hex(src.Fingerprint))
+	for _, tc := range []struct{ name, journal, want string }{
+		{"case-folded version only", `{"CAmpAign":1}` + "\n", "different campaign"},
+		{"empty config digest", `{"campaign":1,"kind":"test","units":6,"config_sha256":""}` + "\n", "different campaign"},
+		{"short config digest", `{"campaign":1,"kind":"test","units":6,"config_sha256":"ab"}` + "\n", "different campaign"},
+		{"short result digest", header + `{"unit":0,"status":1,"result":0,"result_sha256":"ab"}` + "\n", "digest mismatch"},
+		{"empty result digest", header + `{"unit":0,"status":1,"result":0}` + "\n", "digest mismatch"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			journal := filepath.Join(t.TempDir(), "campaign.journal")
+			if err := os.WriteFile(journal, []byte(tc.journal), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Supervise(Config{Workers: 1, Journal: journal}, src)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want an error containing %q", err, tc.want)
+			}
+		})
+	}
+}

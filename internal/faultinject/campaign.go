@@ -262,6 +262,10 @@ func armRun(sc Scenario, cfg Config, inject bool, rec *flightrec.Recorder, tr *t
 	if err != nil {
 		return runSignature{}, nil, false, err
 	}
+	// The board dies with this run: the signature, the isolation
+	// recheck and every recorder checkpoint are taken before return, and
+	// recorded pages are copies, so its memory goes back to the pool.
+	defer k.Board.Machine.Mem.Release()
 	machine = k.Board.Machine
 	if inject && sc.Kind == KindBusFault {
 		// Fire on the first protection-checked load: the release apps
@@ -443,6 +447,7 @@ func rvRun(sc Scenario, cfg Config, chip riscv.ChipConfig, inject bool, rec *fli
 	if err != nil {
 		return runSignature{}, nil, false, err
 	}
+	defer k.Machine.Mem.Release() // as in armRun
 	k.Trace = tr
 	k.AttachFlightRec(rec)
 	k.SetFastCore(cfg.FastCore)

@@ -3,6 +3,7 @@ package kernel
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 
 	"ticktock/internal/armv7m"
 	"ticktock/internal/cycles"
@@ -746,7 +747,8 @@ func (k *Kernel) FlightFields() []flightrec.Field {
 		f = append(f, flightrec.F("kern.cursor", k.Switches%uint64(n)))
 	}
 	for _, p := range k.Procs {
-		pre := fmt.Sprintf("proc.%d.", p.ID)
+		id := strconv.Itoa(p.ID)
+		pre := "proc." + id + "."
 		var regs [8 * 4]byte
 		for i, r := range p.SavedRegs {
 			binary.LittleEndian.PutUint32(regs[i*4:], r)
@@ -757,7 +759,7 @@ func (k *Kernel) FlightFields() []flightrec.Field {
 			flightrec.F(pre+"restarts", uint64(p.Restarts)),
 			flightrec.F(pre+"wake", p.WakeAt),
 			flightrec.F(pre+"regs", flightrec.DigestBytes(regs[:])),
-			flightrec.F(fmt.Sprintf("out.%d", p.ID), flightrec.DigestBytes(k.output[p.ID])),
+			flightrec.F("out."+id, flightrec.DigestBytes(k.output[p.ID])),
 		)
 	}
 	return f

@@ -7,9 +7,11 @@
 package physmem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Segment is a contiguous range of backed physical memory.
@@ -51,7 +53,8 @@ type Memory struct {
 	// local (the active RAM window, the current code page), so checking
 	// it first turns the common case into two compares instead of a
 	// binary search. Purely a cache: Segment falls back to the search on
-	// a miss, and Map never removes segments, so it can never go stale.
+	// a miss, and only Release removes segments (clearing last with
+	// them), so it can never go stale.
 	last *Segment
 
 	// dirty, when non-nil, collects the page bases written since the
@@ -66,6 +69,8 @@ func NewMemory() *Memory { return &Memory{} }
 
 // Map adds a segment backed by size zeroed bytes. It returns an error if
 // the new segment overlaps an existing one or wraps the address space.
+// The backing comes from the pool of buffers earlier boards released
+// (Release) when one of this size is free, else it is freshly allocated.
 func (m *Memory) Map(name string, base uint32, size uint32) (*Segment, error) {
 	if size == 0 {
 		return nil, fmt.Errorf("armv7m: segment %q has zero size", name)
@@ -73,12 +78,13 @@ func (m *Memory) Map(name string, base uint32, size uint32) (*Segment, error) {
 	if uint64(base)+uint64(size) > 1<<32 {
 		return nil, fmt.Errorf("armv7m: segment %q wraps the 32-bit address space", name)
 	}
-	seg := &Segment{Name: name, Base: base, Data: make([]byte, size)}
+	end := uint64(base) + uint64(size)
 	for _, s := range m.segs {
-		if base < s.End() && s.Base < seg.End() {
+		if uint64(base) < uint64(s.Base)+uint64(len(s.Data)) && uint64(s.Base) < end {
 			return nil, fmt.Errorf("armv7m: segment %q overlaps %q", name, s.Name)
 		}
 	}
+	seg := &Segment{Name: name, Base: base, Data: pool.get(int(size))}
 	m.segs = append(m.segs, seg)
 	sort.Slice(m.segs, func(i, j int) bool { return m.segs[i].Base < m.segs[j].Base })
 	return seg, nil
@@ -101,6 +107,25 @@ func (m *Memory) Segment(addr uint32) *Segment {
 // Segments returns all mapped segments in address order.
 func (m *Memory) Segments() []*Segment { return m.segs }
 
+// Release ends the memory's life: each segment's backing is zeroed and
+// returned to the pool Map draws from, and the memory is left with no
+// segments, so every later access through it is a *BusError and every
+// Segment it handed out has nil Data — released memory fails closed and
+// can never read the bytes of the board that next draws the buffer.
+// Calling Release again is a no-op, so a buffer is never pooled twice.
+// The owner that built the memory calls it once nothing reads the board
+// any more; memory that is never released is simply garbage collected.
+func (m *Memory) Release() {
+	for _, s := range m.segs {
+		pool.put(s.Data)
+		s.Data = nil
+	}
+	m.segs, m.last, m.dirty = nil, nil, nil
+}
+
+// zeroPage is the all-zero reference TrackDirty compares pages against.
+var zeroPage [DirtyPageSize]byte
+
 // TrackDirty enables write tracking at DirtyPageSize granularity. Every
 // page that already holds a non-zero byte is marked dirty immediately,
 // so a tracker attached after some setup writes still sees a complete
@@ -109,15 +134,9 @@ func (m *Memory) TrackDirty() {
 	m.dirty = make(map[uint32]struct{})
 	for _, s := range m.segs {
 		for off := 0; off < len(s.Data); off += DirtyPageSize {
-			end := off + DirtyPageSize
-			if end > len(s.Data) {
-				end = len(s.Data)
-			}
-			for _, b := range s.Data[off:end] {
-				if b != 0 {
-					m.dirty[(s.Base+uint32(off))&^uint32(DirtyPageSize-1)] = struct{}{}
-					break
-				}
+			page := s.Data[off:min(off+DirtyPageSize, len(s.Data))]
+			if !bytes.Equal(page, zeroPage[:len(page)]) {
+				m.dirty[(s.Base+uint32(off))&^uint32(DirtyPageSize-1)] = struct{}{}
 			}
 		}
 	}
@@ -238,4 +257,48 @@ func (m *Memory) WriteBytes(addr uint32, b []byte) error {
 		m.markDirty(addr, uint32(len(b)))
 	}
 	return nil
+}
+
+// maxPooled bounds the free buffers kept per size. A campaign worker
+// holds one board at a time, so the pool settles at the peak number of
+// concurrently live boards; the bound only caps what a burst of many
+// concurrent boards leaves behind once they are released.
+const maxPooled = 64
+
+// bufferPool recycles released segment backings by size. It is a plain
+// bounded free list rather than a sync.Pool: a sync.Pool empties on
+// every GC cycle and, under the race detector, drops a quarter of what
+// is put back, so the reuse a campaign depends on would come and go.
+type bufferPool struct {
+	mu   sync.Mutex
+	free map[int][][]byte
+}
+
+var pool = bufferPool{free: make(map[int][][]byte)}
+
+// get returns an all-zero buffer of length size.
+func (p *bufferPool) get(size int) []byte {
+	p.mu.Lock()
+	list := p.free[size]
+	if n := len(list); n > 0 {
+		buf := list[n-1]
+		list[n-1] = nil
+		p.free[size] = list[:n-1]
+		p.mu.Unlock()
+		return buf
+	}
+	p.mu.Unlock()
+	return make([]byte, size)
+}
+
+// put zeroes buf and keeps it for a later get of the same size, unless
+// that size's free list is full. The zeroing runs outside the lock so
+// concurrent releases do not queue behind each other's memclr.
+func (p *bufferPool) put(buf []byte) {
+	clear(buf)
+	p.mu.Lock()
+	if list := p.free[len(buf)]; len(list) < maxPooled {
+		p.free[len(buf)] = append(list, buf)
+	}
+	p.mu.Unlock()
 }

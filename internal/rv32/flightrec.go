@@ -1,10 +1,34 @@
 package rv32
 
 import (
-	"fmt"
+	"strconv"
 
 	"ticktock/internal/flightrec"
 )
+
+// Field names are fixed per index, so they are built once rather than
+// formatted at every checkpoint. 64 is the most PMP entries the RISC-V
+// privileged spec allows; pmpName formats any index past the tables.
+var (
+	xNames       = indexedNames("cpu.x", 32)
+	pmpCfgNames  = indexedNames("pmp.cfg", 64)
+	pmpAddrNames = indexedNames("pmp.addr", 64)
+)
+
+func indexedNames(prefix string, n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = prefix + strconv.Itoa(i)
+	}
+	return names
+}
+
+func pmpName(names []string, prefix string, i int) string {
+	if i < len(names) {
+		return names[i]
+	}
+	return prefix + strconv.Itoa(i)
+}
 
 // FlightFields captures the complete architectural state of the RISC-V
 // machine for the flight recorder: the integer register file, pc,
@@ -15,7 +39,7 @@ import (
 func (m *Machine) FlightFields() []flightrec.Field {
 	f := make([]flightrec.Field, 0, 48+2*m.PMP.Chip.Entries)
 	for i := 1; i < 32; i++ {
-		f = append(f, flightrec.F(fmt.Sprintf("cpu.x%d", i), uint64(m.X[i])))
+		f = append(f, flightrec.F(xNames[i], uint64(m.X[i])))
 	}
 	f = append(f,
 		flightrec.F("cpu.pc", uint64(m.PC)),
@@ -32,8 +56,8 @@ func (m *Machine) FlightFields() []flightrec.Field {
 	for i := 0; i < m.PMP.Chip.Entries; i++ {
 		cfg, addr := m.PMP.Entry(i)
 		f = append(f,
-			flightrec.F(fmt.Sprintf("pmp.cfg%d", i), uint64(cfg)),
-			flightrec.F(fmt.Sprintf("pmp.addr%d", i), uint64(addr)),
+			flightrec.F(pmpName(pmpCfgNames, "pmp.cfg", i), uint64(cfg)),
+			flightrec.F(pmpName(pmpAddrNames, "pmp.addr", i), uint64(addr)),
 		)
 	}
 	return f

@@ -13,6 +13,7 @@ package rvkernel
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 
 	"ticktock/internal/core"
 	"ticktock/internal/cycles"
@@ -309,7 +310,8 @@ func (k *Kernel) FlightFields() []flightrec.Field {
 		f = append(f, flightrec.F("kern.cursor", k.switches%uint64(n)))
 	}
 	for _, p := range k.Procs {
-		pre := fmt.Sprintf("proc.%d.", p.ID)
+		id := strconv.Itoa(p.ID)
+		pre := "proc." + id + "."
 		var regs [32 * 4]byte
 		for i, r := range p.Regs {
 			binary.LittleEndian.PutUint32(regs[i*4:], r)
@@ -320,7 +322,7 @@ func (k *Kernel) FlightFields() []flightrec.Field {
 			flightrec.F(pre+"restarts", uint64(p.Restarts)),
 			flightrec.F(pre+"wake", p.WakeAt),
 			flightrec.F(pre+"regs", flightrec.DigestBytes(regs[:])),
-			flightrec.F(fmt.Sprintf("out.%d", p.ID), flightrec.DigestBytes(k.output[p.ID])),
+			flightrec.F("out."+id, flightrec.DigestBytes(k.output[p.ID])),
 		)
 	}
 	return f
