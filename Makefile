@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench profile cover ablation faultcamp accessbench benchjson replaycheck runcheck campaigncheck telemetrycheck
+.PHONY: ci fmt vet build test race bench profile cover ablation faultcamp accessbench benchjson replaycheck runcheck campaigncheck telemetrycheck fuzzcheck
 
 # ci is the gate the concurrency-touching paths (parallel difftest
 # campaign, goroutine-safe Stats, tracer, metrics registry) must keep
@@ -116,3 +116,18 @@ runcheck:
 	$(GO) run ./cmd/runpack ls runpacks
 	$(GO) run ./cmd/runpack verify -rerun runpacks/*
 	$(GO) test -race -run 'TestRegressions|TestRegressionFailsBeforeFix|TestCommittedPackContents' ./internal/runpack/
+
+# fuzzcheck runs every equivalence fuzzer the fast core's soundness rests
+# on for FUZZTIME each, starting from its committed seeds: both fast cores
+# against the oracle Step, the three ports' access maps against their
+# byte-scan oracle, and the shared access-map cache against a fresh build.
+# Every kernel boots on the fast core, so these guard what campaigns run.
+FUZZTIME ?= 10s
+fuzzcheck:
+	$(GO) test -run '^$$' -fuzz '^FuzzFastCoreEquivalence$$' -fuzztime $(FUZZTIME) ./internal/armv7m/
+	$(GO) test -run '^$$' -fuzz '^FuzzRvFastCoreEquivalence$$' -fuzztime $(FUZZTIME) ./internal/rv32/
+	$(GO) test -run '^$$' -fuzz '^FuzzAccessMapEquivalence$$' -fuzztime $(FUZZTIME) ./internal/armv7m/
+	$(GO) test -run '^$$' -fuzz '^FuzzAccessMapEquivalence$$' -fuzztime $(FUZZTIME) ./internal/armv8m/
+	$(GO) test -run '^$$' -fuzz '^FuzzAccessMapEquivalence$$' -fuzztime $(FUZZTIME) ./internal/riscv/
+	$(GO) test -run '^$$' -fuzz '^FuzzAccessMapCacheEquivalence$$' -fuzztime $(FUZZTIME) ./internal/armv7m/
+	$(GO) test -run '^$$' -fuzz '^FuzzAccessMapCacheEquivalence$$' -fuzztime $(FUZZTIME) ./internal/riscv/

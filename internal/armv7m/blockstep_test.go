@@ -163,6 +163,11 @@ func TestFastCoreEquivalenceQuanta(t *testing.T) {
 			if st.Hits == 0 || st.Builds == 0 {
 				t.Fatalf("fast core never used its cache: %+v", st)
 			}
+			// Both sides of the cold-block rule ran under the equivalence
+			// check: interpreted cold code and built warm blocks.
+			if st.ColdSteps == 0 {
+				t.Fatalf("no cold block was interpreted: %+v", st)
+			}
 		})
 	}
 }

@@ -137,8 +137,10 @@ type MPUHardware struct {
 	// when metrics are attached; nil-safe.
 	Writes *metrics.Counter
 
-	// MapBuilds counts access-map constructions; the cache-invalidation
-	// ablation guard asserts it only moves when the configuration does.
+	// MapBuilds counts access-map derivations — one per queried
+	// configuration change, whether the shared cache answered or Build
+	// ran; the cache-invalidation ablation guard asserts it only moves
+	// when the configuration does.
 	MapBuilds uint64
 
 	// gen counts configuration mutations (region writes, clears, raw bit
@@ -329,18 +331,46 @@ func (h *MPUHardware) boundaries() []uint64 {
 	return bs
 }
 
+// mapKey is every register Check reads: two units with equal keys make
+// identical decisions, so they can share one built map.
+type mapKey struct {
+	rbar, rasr             [NumRegions]uint32
+	ctrlEnable, privDefEna bool
+}
+
+// mapCacheBound caps the process-wide shared map cache. A 500-scenario
+// fault campaign programs a few dozen distinct layouts; the ones its
+// bit flips corrupt are mostly unique and churn through the rest.
+const mapCacheBound = 512
+
+// sharedMaps holds built maps for every MPUHardware in the process.
+var sharedMaps = accessmap.NewCache[mapKey](mapCacheBound)
+
+// AccessMapCacheStats reports the process-wide shared map cache's hit
+// and miss counts. MapBuilds, per unit, still counts every derivation,
+// whether the cache answered it or Build ran.
+func AccessMapCacheStats() accessmap.CacheStats { return sharedMaps.Stats() }
+
 // AccessMap returns the interval decision map derived from the current
-// register state, rebuilding it only when the configuration generation or
-// a control bit changed since the last build.
+// register state, re-deriving it only when the configuration generation
+// or a control bit changed since the last derivation. A re-derivation
+// first consults the shared cache keyed on the register contents, and
+// builds only when no unit has built a map for them yet.
 func (h *MPUHardware) AccessMap() *accessmap.Map {
 	if h.amap == nil || h.amapGen != h.gen || h.amapCtrl != h.CtrlEnable || h.amapPriv != h.PrivDefEna {
-		h.amap = accessmap.Build(h.boundaries(), func(addr uint32, kind mpu.AccessKind, privileged bool) bool {
-			return h.Check(addr, kind, privileged) == nil
-		})
+		key := mapKey{rbar: h.rbar, rasr: h.rasr, ctrlEnable: h.CtrlEnable, privDefEna: h.PrivDefEna}
+		h.amap = sharedMaps.Get(key, h.buildAccessMap)
 		h.amapGen, h.amapCtrl, h.amapPriv = h.gen, h.CtrlEnable, h.PrivDefEna
 		h.MapBuilds++
 	}
 	return h.amap
+}
+
+// buildAccessMap derives a fresh map from the current registers.
+func (h *MPUHardware) buildAccessMap() *accessmap.Map {
+	return accessmap.Build(h.boundaries(), func(addr uint32, kind mpu.AccessKind, privileged bool) bool {
+		return h.Check(addr, kind, privileged) == nil
+	})
 }
 
 // AccessibleUser reports whether an unprivileged access of the given kind

@@ -27,11 +27,12 @@ import (
 // ablation tooling. Single-threaded like the machines themselves.
 type Stats struct {
 	Hits          uint64 // block found in the table
-	Misses        uint64 // block not cached (built or slow-stepped)
+	Misses        uint64 // block not cached (built, cold- or slow-stepped)
 	Builds        uint64 // blocks decoded and inserted
 	Flushes       uint64 // whole-table invalidations (program load)
 	CoverRechecks uint64 // block cover recomputed after a stamp change
-	SlowSteps     uint64 // instructions retired via the oracle Step path
+	SlowSteps     uint64 // oracle Step fallbacks: execute denial or no program at pc
+	ColdSteps     uint64 // oracle Steps at a pc not yet warm enough to build
 	HintHits      uint64 // load/store checks answered by the interval hint
 	HintMisses    uint64 // load/store checks that fell back to the full map
 }
@@ -76,8 +77,18 @@ type Table[I any] struct {
 	slots   []*Block[I]
 	mask    uint32
 	backing map[uint32]*Block[I]
-	Stats   Stats
+	// heat counts the cold misses per slot, up to buildAfter-1: the
+	// next miss in the slot builds. Slots are shared, so a collision
+	// can only warm a block sooner.
+	heat  []uint8
+	Stats Stats
 }
+
+// buildAfter is the miss count at which a block is predecoded. Code that
+// runs once — most of a short fault-campaign board — costs less to
+// interpret through the oracle Step than to decode, so the first
+// buildAfter-1 misses at a slot step instead of building.
+const buildAfter = 2
 
 // NewTable returns a table with 1<<slotBits direct-mapped slots.
 func NewTable[I any](slotBits uint) *Table[I] {
@@ -86,6 +97,7 @@ func NewTable[I any](slotBits uint) *Table[I] {
 		slots:   make([]*Block[I], n),
 		mask:    n - 1,
 		backing: make(map[uint32]*Block[I]),
+		heat:    make([]uint8, n),
 	}
 }
 
@@ -105,6 +117,19 @@ func (t *Table[I]) Lookup(pc uint32) *Block[I] {
 	return nil
 }
 
+// Cold records a miss at pc and reports whether the block there is still
+// cold, in which case the caller interprets the instruction at pc rather
+// than building (counted in ColdSteps). Call it only after Lookup missed.
+func (t *Table[I]) Cold(pc uint32) bool {
+	s := (pc >> 2) & t.mask
+	if t.heat[s]+1 < buildAfter {
+		t.heat[s]++
+		t.Stats.ColdSteps++
+		return true
+	}
+	return false
+}
+
 // Insert adds a freshly built block to the table.
 func (t *Table[I]) Insert(b *Block[I]) {
 	t.slots[(b.Base>>2)&t.mask] = b
@@ -116,10 +141,9 @@ func (t *Table[I]) Insert(b *Block[I]) {
 // programs changes; register mutations do not need it (the stamp guard
 // on Cover handles those).
 func (t *Table[I]) Flush() {
-	for i := range t.slots {
-		t.slots[i] = nil
-	}
-	t.backing = make(map[uint32]*Block[I])
+	clear(t.slots)
+	clear(t.backing)
+	clear(t.heat)
 	t.Stats.Flushes++
 }
 

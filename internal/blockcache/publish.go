@@ -10,7 +10,11 @@ import "ticktock/internal/metrics"
 //	blockcache_invalidations_total    — whole-table flushes plus per-block
 //	                                    cover rechecks after a stamp change
 //	blockcache_oracle_fallbacks_total — instructions retired via the
-//	                                    trusted oracle Step path
+//	                                    trusted oracle Step path on an
+//	                                    execute denial or unmapped pc
+//	blockcache_cold_steps_total       — instructions the oracle Step ran
+//	                                    at a pc not yet warm enough to
+//	                                    build
 //	blockcache_hint_hits_total        — load/store checks answered by the
 //	                                    interval hint
 //	blockcache_hint_misses_total      — hint misses that walked the full map
@@ -27,6 +31,7 @@ func (s *Stats) Publish(reg *metrics.Registry, labels ...metrics.Label) {
 	reg.Counter("blockcache_misses_total", labels...).Add(s.Misses)
 	reg.Counter("blockcache_invalidations_total", labels...).Add(s.Flushes + s.CoverRechecks)
 	reg.Counter("blockcache_oracle_fallbacks_total", labels...).Add(s.SlowSteps)
+	reg.Counter("blockcache_cold_steps_total", labels...).Add(s.ColdSteps)
 	reg.Counter("blockcache_hint_hits_total", labels...).Add(s.HintHits)
 	reg.Counter("blockcache_hint_misses_total", labels...).Add(s.HintMisses)
 }

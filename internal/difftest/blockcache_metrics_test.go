@@ -29,7 +29,7 @@ func TestBlockcacheCountersThreeWayAccounting(t *testing.T) {
 	}
 	for _, fl := range []kernel.Flavour{kernel.FlavourTickTock, kernel.FlavourTock} {
 		reg := metrics.NewRegistry()
-		k, _, _, err := runOn(tc, fl, monolithic.BugSet{}, nil, reg, nil, true)
+		k, _, _, err := runOn(tc, fl, monolithic.BugSet{}, nil, reg, nil, false)
 		if err != nil {
 			t.Fatalf("%s on %s: %v", tc.Name, fl, err)
 		}
@@ -47,6 +47,7 @@ func TestBlockcacheCountersThreeWayAccounting(t *testing.T) {
 			"blockcache_misses_total":           st.Misses,
 			"blockcache_invalidations_total":    st.Flushes + st.CoverRechecks,
 			"blockcache_oracle_fallbacks_total": st.SlowSteps,
+			"blockcache_cold_steps_total":       st.ColdSteps,
 			"blockcache_hint_hits_total":        st.HintHits,
 			"blockcache_hint_misses_total":      st.HintMisses,
 		}
@@ -76,11 +77,41 @@ func TestBlockcacheCountersThreeWayAccounting(t *testing.T) {
 	}
 }
 
+// blockcacheLookups sums every blockcache_hits_total and
+// blockcache_misses_total series in reg (all labels): the block-table
+// lookups a run published. Zero for a nil registry.
+func blockcacheLookups(reg *metrics.Registry) uint64 {
+	if reg == nil {
+		return 0
+	}
+	var n uint64
+	for _, cp := range reg.Snapshot().Counters {
+		if cp.Name == "blockcache_hits_total" || cp.Name == "blockcache_misses_total" {
+			n += cp.Value
+		}
+	}
+	return n
+}
+
+// A default difftest run is a fast-core run: with metrics on, both
+// flavours publish blockcache series showing the table was used.
+func TestBlockcacheCountersPresentByDefault(t *testing.T) {
+	row := RunCaseConfig(apps.All()[0], Config{Metrics: true, NoTraceDump: true})
+	if row.Err != nil {
+		t.Fatal(row.Err)
+	}
+	for fl, reg := range map[string]*metrics.Registry{"ticktock": row.TickTockMetrics, "tock": row.TockMetrics} {
+		if blockcacheLookups(reg) == 0 {
+			t.Errorf("%s: default run published no blockcache lookups: the fast core is not the default", fl)
+		}
+	}
+}
+
 // Without the fast core, no blockcache series may appear — the blind
 // spot fix must not invent series for runs that never used the cache.
 func TestBlockcacheCountersAbsentWithoutFastCore(t *testing.T) {
 	reg := metrics.NewRegistry()
-	if _, _, _, err := runOn(apps.All()[0], kernel.FlavourTickTock, monolithic.BugSet{}, nil, reg, nil, false); err != nil {
+	if _, _, _, err := runOn(apps.All()[0], kernel.FlavourTickTock, monolithic.BugSet{}, nil, reg, nil, true); err != nil {
 		t.Fatal(err)
 	}
 	for _, cp := range reg.Snapshot().Counters {

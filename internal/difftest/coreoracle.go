@@ -40,14 +40,21 @@ func (r CoreRow) OK() bool { return r.Err == nil && r.Equal }
 // compares output plus final states.
 func RunCoreOracleCase(tc apps.TestCase, fl kernel.Flavour) CoreRow {
 	row := CoreRow{Name: tc.Name, Flavour: fl}
-	_, slowOut, slowStates, err := runOn(tc, fl, monolithic.BugSet{}, nil, nil, nil, false)
+	slowK, slowOut, slowStates, err := runOn(tc, fl, monolithic.BugSet{}, nil, nil, nil, true)
 	if err != nil {
 		row.Err = err
 		return row
 	}
-	_, fastOut, fastStates, err := runOn(tc, fl, monolithic.BugSet{}, nil, nil, nil, true)
+	fastK, fastOut, fastStates, err := runOn(tc, fl, monolithic.BugSet{}, nil, nil, nil, false)
 	if err != nil {
 		row.Err = err
+		return row
+	}
+	// A parity check whose oracle arm ran the fast core (or whose fast
+	// arm did not) compares a core with itself and proves nothing.
+	if slowK.Board.Machine.FastCore() || !fastK.Board.Machine.FastCore() {
+		row.Err = fmt.Errorf("difftest %s on %s: core-oracle arms not on oracle/fast cores (oracle fast=%v, fast fast=%v)",
+			tc.Name, fl, slowK.Board.Machine.FastCore(), fastK.Board.Machine.FastCore())
 		return row
 	}
 	row.Oracle = slowOut + "\n" + slowStates

@@ -34,12 +34,13 @@ func TestFastCoreOracleParity(t *testing.T) {
 }
 
 // TestFastCoreCampaignMatchesOracleCampaign re-runs the §6.1
-// cross-flavour campaign entirely on the fast core: the campaign
+// cross-flavour campaign entirely on the oracle core: the campaign
 // verdicts (which cases match, which differ) must be identical to the
-// oracle-core campaign's.
+// default fast-core campaign's. Metrics prove which core each arm ran:
+// only a fast-core run publishes blockcache_* series.
 func TestFastCoreCampaignMatchesOracleCampaign(t *testing.T) {
-	slow := RunAllConfig(Config{NoTraceDump: true})
-	fast := RunAllConfig(Config{NoTraceDump: true, FastCore: true})
+	slow := RunAllConfig(Config{NoTraceDump: true, Metrics: true, oracle: true})
+	fast := RunAllConfig(Config{NoTraceDump: true, Metrics: true})
 	if len(slow) != len(fast) {
 		t.Fatalf("row counts differ: %d vs %d", len(slow), len(fast))
 	}
@@ -48,6 +49,12 @@ func TestFastCoreCampaignMatchesOracleCampaign(t *testing.T) {
 		if s.Err != nil || f.Err != nil {
 			t.Errorf("%s: errors oracle=%v fast=%v", s.Name, s.Err, f.Err)
 			continue
+		}
+		if n := blockcacheLookups(s.TickTockMetrics) + blockcacheLookups(s.TockMetrics); n != 0 {
+			t.Errorf("%s: oracle arm published %d blockcache lookups: it ran the fast core", s.Name, n)
+		}
+		if blockcacheLookups(f.TickTockMetrics) == 0 || blockcacheLookups(f.TockMetrics) == 0 {
+			t.Errorf("%s: fast arm published no blockcache lookups: it ran the oracle core", s.Name)
 		}
 		if s.Equal != f.Equal || s.TickTock != f.TickTock || s.Tock != f.Tock ||
 			s.TickTockStates != f.TickTockStates || s.TockStates != f.TockStates {

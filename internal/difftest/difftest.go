@@ -54,10 +54,11 @@ type Config struct {
 	// MergeProfiles. Metrics never charge simulated cycles, so a
 	// metered campaign produces byte-identical console outputs.
 	Metrics bool
-	// FastCore runs every kernel on the block-cache fast core instead
-	// of the byte-scan oracle core. Outputs must be byte-identical
-	// either way; RunCoreOracle checks exactly that.
-	FastCore bool
+	// oracle runs every kernel on the byte-scan oracle core instead of
+	// the block-cache fast core New boots on. Outputs must be
+	// byte-identical either way; the in-package parity tests check
+	// exactly that.
+	oracle bool
 }
 
 // Row is one line of the campaign table.
@@ -98,11 +99,15 @@ func (r Row) OK() bool { return r.Err == nil && r.Equal != r.ExpectDiff }
 
 // runOn executes the case on one kernel flavour, optionally under a
 // tracer, and returns the kernel plus the combined output and final
-// states.
-func runOn(tc apps.TestCase, fl kernel.Flavour, bugs monolithic.BugSet, tr *trace.Tracer, reg *metrics.Registry, rec *flightrec.Recorder, fast bool) (*kernel.Kernel, string, string, error) {
-	k, err := kernel.New(kernel.Options{Flavour: fl, Bugs: bugs, Trace: tr, Metrics: reg, FlightRec: rec, FastCore: fast})
+// states. oracle switches the machine from the fast core kernel.New
+// boots on to the byte-scan oracle core.
+func runOn(tc apps.TestCase, fl kernel.Flavour, bugs monolithic.BugSet, tr *trace.Tracer, reg *metrics.Registry, rec *flightrec.Recorder, oracle bool) (*kernel.Kernel, string, string, error) {
+	k, err := kernel.New(kernel.Options{Flavour: fl, Bugs: bugs, Trace: tr, Metrics: reg, FlightRec: rec})
 	if err != nil {
 		return nil, "", "", err
+	}
+	if oracle {
+		k.Board.Machine.SetFastCore(false)
 	}
 	procs := make([]*kernel.Process, 0, len(tc.Apps))
 	for _, app := range tc.Apps {
@@ -145,7 +150,7 @@ func RunTraced(tc apps.TestCase, fl kernel.Flavour, capacity int) (*kernel.Kerne
 func RunRecorded(tc apps.TestCase, fl kernel.Flavour, cfg Config) (*kernel.Kernel, *flightrec.Recording, error) {
 	tr := trace.New(cfg.TraceCapacity)
 	rec := flightrec.NewRecorder(fl.String())
-	k, _, _, err := runOn(tc, fl, cfg.Bugs, tr, nil, rec, cfg.FastCore)
+	k, _, _, err := runOn(tc, fl, cfg.Bugs, tr, nil, rec, cfg.oracle)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -183,12 +188,12 @@ func RunCaseTraced(tc apps.TestCase, cfg Config, tr *trace.Tracer) Row {
 	if cfg.Metrics {
 		ttReg, tkReg = metrics.NewRegistry(), metrics.NewRegistry()
 	}
-	ttK, tt, ttStates, err := runOn(tc, kernel.FlavourTickTock, cfg.Bugs, tr, ttReg, nil, cfg.FastCore)
+	ttK, tt, ttStates, err := runOn(tc, kernel.FlavourTickTock, cfg.Bugs, tr, ttReg, nil, cfg.oracle)
 	if err != nil {
 		row.Err = err
 		return row
 	}
-	tkK, tk, tkStates, err := runOn(tc, kernel.FlavourTock, cfg.Bugs, nil, tkReg, nil, cfg.FastCore)
+	tkK, tk, tkStates, err := runOn(tc, kernel.FlavourTock, cfg.Bugs, nil, tkReg, nil, cfg.oracle)
 	if err != nil {
 		row.Err = err
 		return row
@@ -250,8 +255,8 @@ func bisectDivergence(tc apps.TestCase, cfg Config) (*flightrec.Divergence, stri
 func divergenceDump(tc apps.TestCase, cfg Config) string {
 	ttTr := trace.New(cfg.TraceCapacity)
 	tkTr := trace.New(cfg.TraceCapacity)
-	_, _, _, ttErr := runOn(tc, kernel.FlavourTickTock, cfg.Bugs, ttTr, nil, nil, cfg.FastCore)
-	_, _, _, tkErr := runOn(tc, kernel.FlavourTock, cfg.Bugs, tkTr, nil, nil, cfg.FastCore)
+	_, _, _, ttErr := runOn(tc, kernel.FlavourTickTock, cfg.Bugs, ttTr, nil, nil, cfg.oracle)
+	_, _, _, tkErr := runOn(tc, kernel.FlavourTock, cfg.Bugs, tkTr, nil, nil, cfg.oracle)
 	var b strings.Builder
 	if ttErr != nil || tkErr != nil {
 		fmt.Fprintf(&b, "trace re-run errors: ticktock=%v tock=%v\n", ttErr, tkErr)

@@ -208,7 +208,6 @@ func armRun(sc Scenario, cfg Config, inject bool, rec *flightrec.Recorder, tr *t
 		Watchdog:    cfg.Watchdog,
 		BackoffBase: cfg.BackoffBase,
 		FlightRec:   rec,
-		FastCore:    cfg.FastCore,
 		Trace:       tr,
 	}
 	applied := false
@@ -267,6 +266,12 @@ func armRun(sc Scenario, cfg Config, inject bool, rec *flightrec.Recorder, tr *t
 	// recorded pages are copies, so its memory goes back to the pool.
 	defer k.Board.Machine.Mem.Release()
 	machine = k.Board.Machine
+	if cfg.oracle {
+		machine.SetFastCore(false)
+	}
+	if cfg.onCore != nil {
+		defer func() { cfg.onCore(machine.FastCore()) }()
+	}
 	if inject && sc.Kind == KindBusFault {
 		// Fire on the first protection-checked load: the release apps
 		// perform few data loads, so "nth load" would usually never be
@@ -450,7 +455,12 @@ func rvRun(sc Scenario, cfg Config, chip riscv.ChipConfig, inject bool, rec *fli
 	defer k.Machine.Mem.Release() // as in armRun
 	k.Trace = tr
 	k.AttachFlightRec(rec)
-	k.SetFastCore(cfg.FastCore)
+	if cfg.oracle {
+		k.SetFastCore(false)
+	}
+	if cfg.onCore != nil {
+		defer func() { cfg.onCore(k.Machine.FastCore()) }()
+	}
 	k.FaultPolicy = rvkernel.PolicyRestart
 	if sc.Quarantine {
 		k.FaultPolicy = rvkernel.PolicyQuarantine

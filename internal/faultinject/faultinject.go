@@ -144,12 +144,17 @@ type Config struct {
 	// replayed (cmd/faultcamp -replay). Recording observes the cycle
 	// meter but never charges it, so classifications are unchanged.
 	Record bool
-	// FastCore runs every injected and baseline kernel on the
-	// block-cache fast core instead of the byte-scan oracle core. The
-	// campaign's mid-run register corruption (MPU/PMP FlipBits at
-	// quantum boundaries) is exactly the invalidation stressor for the
-	// cache, and classifications must be byte-identical either way.
-	FastCore bool
+	// oracle runs every injected and baseline kernel on the byte-scan
+	// oracle core instead of the block-cache fast core the kernels boot
+	// on. The campaign's mid-run register corruption (MPU/PMP FlipBits
+	// at quantum boundaries) is exactly the invalidation stressor for
+	// the cache, and classifications must be byte-identical either way;
+	// the in-package parity test checks that.
+	oracle bool
+	// onCore, when set, is told after every kernel run whether its
+	// machine ran the fast core, so the parity test can prove each arm
+	// ran the core it claims. Called from worker goroutines.
+	onCore func(fast bool)
 	// Chaos injects failures into the *campaign machinery itself* when
 	// the campaign runs supervised (RunSupervised): a spec like
 	// "wedge:3,panic:5,flaky:7" wedges scenario 3 until its timeout,

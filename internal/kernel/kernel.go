@@ -129,12 +129,12 @@ type Options struct {
 	// replay and divergence bisection. Like tracing and metrics, the
 	// recorder observes the cycle meter but never charges it.
 	FlightRec *flightrec.Recorder
-	// FastCore enables the machine's block-cache fast core
-	// (armv7m.Machine.SetFastCore): predecoded basic blocks with
-	// accessmap-backed batch execute checks and load/store interval
-	// hints. Observable behaviour is byte-identical with the oracle
-	// core — the core-oracle difftests and the internal/specs
-	// block-cache obligations pin it — only speed changes.
+	// FastCore is ignored: every kernel boots on the machine's
+	// block-cache fast core. Run on the byte-scan oracle core with
+	// k.Board.Machine.SetFastCore(false) after New.
+	//
+	// Deprecated: the fast core is always on; the field is kept only
+	// for existing callers and will be removed.
 	FastCore bool
 }
 
@@ -240,7 +240,8 @@ type Kernel struct {
 	methodHist  map[string]*metrics.Histogram
 }
 
-// New boots a kernel on a fresh board.
+// New boots a kernel on a fresh board, on the machine's block-cache fast
+// core.
 func New(opts Options) (*Kernel, error) {
 	b, err := NewBoard()
 	if err != nil {
@@ -249,9 +250,10 @@ func New(opts Options) (*Kernel, error) {
 	if opts.Timeslice == 0 {
 		opts.Timeslice = DefaultTimeslice
 	}
-	if opts.FastCore {
-		b.Machine.SetFastCore(true)
-	}
+	// The block-cache fast core is observably identical to the oracle
+	// Step core (the core-oracle difftests and the internal/specs
+	// block-cache obligations pin it); only speed differs.
+	b.Machine.SetFastCore(true)
 	k := &Kernel{
 		Board:      b,
 		Opts:       opts,

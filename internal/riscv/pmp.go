@@ -85,8 +85,10 @@ type PMP struct {
 	// WriteLog records CSR writes (entry indices) for TCB-order tests.
 	WriteLog []int
 
-	// MapBuilds counts access-map constructions; the cache-invalidation
-	// ablation guard asserts it only moves when the configuration does.
+	// MapBuilds counts access-map derivations — one per queried
+	// configuration change, whether the shared cache answered or Build
+	// ran; the cache-invalidation ablation guard asserts it only moves
+	// when the configuration does.
 	MapBuilds uint64
 
 	// gen counts CSR mutations (SetEntry and the unvalidated FlipBits
@@ -296,18 +298,59 @@ func (p *PMP) boundaries() []uint64 {
 	return bs
 }
 
+// maxEntries is the architectural maximum number of PMP entries
+// (privileged spec §3.7).
+const maxEntries = 64
+
+// mapKey is every CSR Check reads — the implemented entry count and the
+// pmpcfg/pmpaddr values below it (entries past it stay zero): two units
+// with equal keys make identical decisions, so they can share one built
+// map.
+type mapKey struct {
+	entries int
+	cfg     [maxEntries]uint8
+	addr    [maxEntries]uint32
+}
+
+// mapCacheBound caps the process-wide shared map cache (see the ARM
+// twin in internal/armv7m).
+const mapCacheBound = 512
+
+// sharedMaps holds built maps for every PMP in the process.
+var sharedMaps = accessmap.NewCache[mapKey](mapCacheBound)
+
+// AccessMapCacheStats reports the process-wide shared map cache's hit
+// and miss counts. MapBuilds, per unit, still counts every derivation,
+// whether the cache answered it or Build ran.
+func AccessMapCacheStats() accessmap.CacheStats { return sharedMaps.Stats() }
+
 // AccessMap returns the interval decision map derived from the current
-// CSR state, rebuilding it only when the configuration generation changed
-// since the last build.
+// CSR state, re-deriving it only when the configuration generation
+// changed since the last derivation. A re-derivation first consults the
+// shared cache keyed on the CSR contents, and builds only when no unit
+// has built a map for them yet. Chips beyond the architectural entry
+// count are not keyable and always build.
 func (p *PMP) AccessMap() *accessmap.Map {
 	if p.amap == nil || p.amapGen != p.gen {
-		p.amap = accessmap.Build(p.boundaries(), func(addr uint32, kind mpu.AccessKind, privileged bool) bool {
-			return p.Check(addr, kind, privileged) == nil
-		})
+		if n := p.Chip.Entries; n <= maxEntries {
+			key := mapKey{entries: n}
+			copy(key.cfg[:], p.cfg[:n])
+			copy(key.addr[:], p.addr[:n])
+			p.amap = sharedMaps.Get(key, p.buildAccessMap)
+		} else {
+			p.amap = p.buildAccessMap()
+		}
 		p.amapGen = p.gen
 		p.MapBuilds++
 	}
 	return p.amap
+}
+
+// buildAccessMap derives a fresh map from the current CSRs.
+func (p *PMP) buildAccessMap() *accessmap.Map {
+	return accessmap.Build(p.boundaries(), func(addr uint32, kind mpu.AccessKind, privileged bool) bool {
+		return p.Check(addr, kind, privileged) == nil
+	})
 }
 
 // AccessibleUser reports whether a user access of kind succeeds for every

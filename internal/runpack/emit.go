@@ -38,6 +38,25 @@ func prometheusText(reg *metrics.Registry) ([]byte, error) {
 	return []byte(b.String()), nil
 }
 
+// withoutCoreSeries returns reg minus its blockcache_* series. Those
+// count the emulator core's own caching (which core ran, how often a
+// block was reused), not anything the simulated kernel did, so sealing
+// them would make a pack's name depend on the host core rather than on
+// the run it records.
+func withoutCoreSeries(reg *metrics.Registry) *metrics.Registry {
+	s := reg.Snapshot()
+	kept := s.Counters[:0]
+	for _, cp := range s.Counters {
+		if !strings.HasPrefix(cp.Name, "blockcache_") {
+			kept = append(kept, cp)
+		}
+	}
+	s.Counters = kept
+	out := metrics.NewRegistry()
+	out.AddSnapshot(s)
+	return out
+}
+
 // faultcampConfig is the stable config view stored in campaign packs.
 type faultcampConfig struct {
 	Seed        int64  `json:"seed"`
@@ -127,7 +146,7 @@ func EmitDifftest(root string, cfg difftest.Config, rows []difftest.Row) (dir, r
 	b.AddFile("result.txt", []byte(difftest.Table(rows)))
 	b.SetResult("result.txt")
 
-	prom, err := prometheusText(difftest.MergeMetrics(rows))
+	prom, err := prometheusText(withoutCoreSeries(difftest.MergeMetrics(rows)))
 	if err != nil {
 		return "", "", err
 	}

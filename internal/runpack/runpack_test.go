@@ -252,3 +252,36 @@ func copyDir(t *testing.T, src, dst string) {
 		}
 	}
 }
+
+// TestDifftestPackSealsNoCoreSeries: a difftest pack's metrics member
+// leaves out the emulator core's blockcache_* series the rows carry, so
+// the pack a campaign seals does not depend on which core ran it.
+func TestDifftestPackSealsNoCoreSeries(t *testing.T) {
+	tc, err := findCase("mpu_walk_region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := difftest.Config{Metrics: true, NoTraceDump: true}
+	rows := []difftest.Row{difftest.RunCaseConfig(tc, cfg)}
+	var all strings.Builder
+	if err := difftest.MergeMetrics(rows).ExportPrometheus(&all); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(all.String(), "blockcache_hits_total") {
+		t.Fatal("vacuous: the rows carry no blockcache series to leave out")
+	}
+	dir, _, err := EmitDifftest(t.TempDir(), cfg, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, err := os.ReadFile(filepath.Join(dir, "metrics.prom"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(prom), "blockcache_") {
+		t.Fatal("difftest pack sealed blockcache series")
+	}
+	if !strings.Contains(string(prom), "ticktock_") {
+		t.Fatal("difftest pack sealed no kernel series at all")
+	}
+}

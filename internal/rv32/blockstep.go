@@ -55,12 +55,17 @@ func (m *Machine) FastStats() *blockcache.Stats {
 }
 
 // buildBlock predecodes a straight-line block starting at pc, or
-// returns nil when no loaded program covers pc. Permission state is not
-// consulted here; the per-entry cover check owns all permission
+// returns nil when no loaded program covers pc (counted in SlowSteps)
+// or the block is still cold (blockcache.Table.Cold). Permission state
+// is not consulted here; the per-entry cover check owns all permission
 // decisions.
 func (m *Machine) buildBlock(pc uint32) *blockcache.Block[Instr] {
 	p := m.progAt(pc)
 	if p == nil || (pc-p.Base)%4 != 0 {
+		m.fast.table.Stats.SlowSteps++
+		return nil
+	}
+	if m.fast.table.Cold(pc) {
 		return nil
 	}
 	i := int((pc - p.Base) / 4)
@@ -162,9 +167,10 @@ func (m *Machine) runFast(budget uint64) (*Stop, error) {
 			b = m.buildBlock(pc)
 		}
 		if b == nil {
-			// No decoded program at pc (or misaligned): slow-step so
-			// the oracle fetch raises the identical fault.
-			f.table.Stats.SlowSteps++
+			// The block at pc is still cold, or no decoded program
+			// covers pc (or it is misaligned): slow-step, so cold code
+			// is interpreted and the oracle fetch raises the identical
+			// fault for an unmapped pc.
 			stop, err := m.Step()
 			if stop != nil || err != nil {
 				return stop, err

@@ -400,7 +400,8 @@ func svcName(class uint32) string {
 	}
 }
 
-// New boots a RISC-V kernel on the given chip.
+// New boots a RISC-V kernel on the given chip, on the machine's
+// block-cache fast core.
 func New(chip riscv.ChipConfig) (*Kernel, error) {
 	mem := physmem.NewMemory()
 	if _, err := mem.Map("flash", FlashBase, FlashSize); err != nil {
@@ -409,8 +410,10 @@ func New(chip riscv.ChipConfig) (*Kernel, error) {
 	if _, err := mem.Map("ram", RAMBase, RAMSize); err != nil {
 		return nil, err
 	}
+	m := rv32.NewMachine(mem, chip)
+	m.SetFastCore(true)
 	return &Kernel{
-		Machine:    rv32.NewMachine(mem, chip),
+		Machine:    m,
 		Chip:       chip,
 		Timeslice:  10000,
 		poolCursor: ProcessPoolBase,
@@ -420,7 +423,9 @@ func New(chip riscv.ChipConfig) (*Kernel, error) {
 }
 
 // SetFastCore enables or disables the machine's block-cache fast core
-// (rv32.Machine.SetFastCore); observable behaviour is unchanged.
+// (rv32.Machine.SetFastCore); observable behaviour is unchanged. New
+// boots with it on, so SetFastCore(false) is how a caller reaches the
+// byte-scan oracle core.
 func (k *Kernel) SetFastCore(on bool) { k.Machine.SetFastCore(on) }
 
 // PublishCoreStats books the block-cache fast-core counters
