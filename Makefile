@@ -119,9 +119,13 @@ runcheck:
 
 # fuzzcheck runs every equivalence fuzzer the fast core's soundness rests
 # on for FUZZTIME each, starting from its committed seeds: both fast cores
-# against the oracle Step, the three ports' access maps against their
-# byte-scan oracle, and the shared access-map cache against a fresh build.
-# Every kernel boots on the fast core, so these guard what campaigns run.
+# against the oracle Step (self-loop chaining included), the three ports'
+# access maps against their byte-scan oracle, and the shared access-map
+# cache against a fresh build. Every kernel boots on the fast core, so
+# these guard what campaigns run. Then the fail-closed fuzzers: the MPU
+# check on arbitrary register contents, and the parsers of bytes read from
+# disk (TBF headers, flight recordings, campaign journals), which must
+# return an error rather than panic.
 FUZZTIME ?= 10s
 fuzzcheck:
 	$(GO) test -run '^$$' -fuzz '^FuzzFastCoreEquivalence$$' -fuzztime $(FUZZTIME) ./internal/armv7m/
@@ -131,3 +135,7 @@ fuzzcheck:
 	$(GO) test -run '^$$' -fuzz '^FuzzAccessMapEquivalence$$' -fuzztime $(FUZZTIME) ./internal/riscv/
 	$(GO) test -run '^$$' -fuzz '^FuzzAccessMapCacheEquivalence$$' -fuzztime $(FUZZTIME) ./internal/armv7m/
 	$(GO) test -run '^$$' -fuzz '^FuzzAccessMapCacheEquivalence$$' -fuzztime $(FUZZTIME) ./internal/riscv/
+	$(GO) test -run '^$$' -fuzz '^FuzzMPUCheck$$' -fuzztime $(FUZZTIME) ./internal/armv7m/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/tbf/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/flightrec/
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalLoad$$' -fuzztime $(FUZZTIME) ./internal/campaign/

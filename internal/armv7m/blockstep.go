@@ -6,7 +6,9 @@ package armv7m
 // (via the accessmap, stamped with the MPU configuration generation),
 // cycle accounting is charged in per-batch prefix sums, and the slow
 // path is re-entered only on control flow leaving the block, a pending
-// tick, a trap, a privilege change, or a configuration-stamp change.
+// tick, a trap, a privilege change, or a configuration-stamp change. A
+// self-loop block (pure instructions closed by a B to its own base)
+// runs its passes back to back under one tick-and-budget allowance.
 // Step stays the trusted byte-scan oracle; docs/SPEED.md describes the
 // equivalence argument, and the difftest core-oracle suite plus the
 // internal/specs block-cache obligations check it differentially.
@@ -89,8 +91,47 @@ func (m *Machine) buildBlock(pc uint32) *blockcache.Block[Instr] {
 			b.Pure |= 1 << uint(k)
 		}
 	}
+	b.Loop = blockcache.SelfLoop(b, func(in Instr) bool {
+		br, ok := in.(B)
+		return ok && br.Addr == pc
+	})
 	m.fast.table.Insert(b)
 	return b
+}
+
+// chain runs up to max whole passes of the self-loop block b back to
+// back: the pure body with a stale PC, then the loop branch at its
+// architectural PC. It returns the passes whose branch was taken and,
+// if a branch fell through, retired = b.Loop for that completed pass
+// (PC still at the branch). It charges nothing; the caller charges
+// every pass at once. Pure instructions and a direct B cannot fault,
+// change privilege or touch the MPU, so no pass needs a table lookup,
+// a stamp or cover recheck, or an exception poll.
+func (m *Machine) chain(b *blockcache.Block[Instr], max uint64) (passes uint64, retired int) {
+	// buildBlock only marks a loop whose back edge is a B, so the
+	// branch is dispatched once here rather than once per pass.
+	body, br := b.Instrs[:b.Loop-1], b.Instrs[b.Loop-1].(B)
+	brPC := b.Base + uint32(4*(b.Loop-1))
+	for ; passes < max; passes++ {
+		for _, in := range body {
+			_ = execQuick(m, in)
+		}
+		m.pcWritten = false
+		m.CPU.PC = brPC
+		_ = br.Exec(m)
+		if !m.pcWritten {
+			return passes, b.Loop
+		}
+	}
+	return passes, 0
+}
+
+// charge books n retired instructions costing cost cycles to the
+// instruction counter, the meter and SysTick.
+func (m *Machine) charge(cost, n uint64) {
+	m.mInstr.Add(n)
+	m.Meter.Add(cost)
+	m.Tick.Advance(cost)
 }
 
 // pureInstr reports whether in's Exec always returns nil and never
@@ -226,36 +267,48 @@ func (m *Machine) runFast(budget uint64) (*Stop, error) {
 			}
 			continue
 		}
-		// Limit the batch so a tick can latch only on its last
-		// instruction (SysTick.Advance is associative across splits, so
-		// one batched Advance then equals the oracle's per-instruction
-		// calls) and so the cycle budget is honoured at the same
-		// instruction the oracle stops at. The crossing instruction
-		// itself stays in the batch, mirroring the oracle's post-Exec
-		// Advance and post-Step budget check.
+		// One cycle allowance bounds everything retired from this entry,
+		// so a tick can latch only on its last instruction
+		// (SysTick.Advance is associative across splits, so one batched
+		// Advance then equals the oracle's per-instruction calls) and the
+		// cycle budget is honoured at the same instruction the oracle
+		// stops at. The crossing instruction itself stays in the batch,
+		// mirroring the oracle's post-Exec Advance and post-Step budget
+		// check.
+		allow := ^uint64(0)
 		if m.Tick.Enabled && m.Tick.Reload != 0 {
-			c := uint64(m.Tick.current)
-			if c == 0 {
-				c = 1
-			}
-			if k := blockcache.BatchLimit(b.Prefix, n, c-1); k+1 < n {
-				n = k + 1
-			}
+			allow = uint64(max(m.Tick.current, 1)) - 1
 		}
 		if budget != 0 {
-			rem := budget - (m.Meter.Cycles() - start)
-			if k := blockcache.BatchLimit(b.Prefix, n, rem-1); k+1 < n {
-				n = k + 1
+			allow = min(allow, budget-(m.Meter.Cycles()-start)-1)
+		}
+		// A self-loop first runs every whole pass the allowance admits
+		// back to back, charged at once: no tick latches and the budget
+		// does not run out inside the allowance, so charging them before
+		// the batch is what the oracle's per-instruction charges add up
+		// to. The final partial pass, or the rest of the block after a
+		// fall-through, is the batch below.
+		retired := 0
+		if b.Loop != 0 && b.Loop <= n && m.Trace == nil {
+			var passes uint64
+			passes, retired = m.chain(b, allow/b.Prefix[b.Loop])
+			if passes != 0 {
+				cost := passes * b.Prefix[b.Loop]
+				m.charge(cost, passes*uint64(b.Loop))
+				allow -= cost
+				f.table.Stats.Hits += passes
 			}
+		}
+		if k := blockcache.BatchLimit(b.Prefix, n, allow); k+1 < n {
+			n = k + 1
 		}
 		// pcWritten is cleared once per batch, not per instruction: only
 		// writePC sets it, the loop breaks immediately after any set, and
 		// pure instructions never call it.
 		m.pcWritten = false
-		retired := 0
 		var execErr error
 		if m.Trace == nil {
-			for i := 0; i < n; i++ {
+			for i := retired; i < n; i++ {
 				in := b.Instrs[i]
 				if b.Pure&(1<<uint(i)) != 0 {
 					// Pure per Block.Pure: no error, no PC access, no
@@ -300,10 +353,7 @@ func (m *Machine) runFast(budget uint64) (*Stop, error) {
 		// meter, timer and instruction counter match the oracle at the
 		// point the OnException hook observes them. No Exec reads the
 		// meter or timer, so deferring the charges is unobservable.
-		cost := b.Prefix[retired]
-		m.mInstr.Add(uint64(retired))
-		m.Meter.Add(cost)
-		m.Tick.Advance(cost)
+		m.charge(b.Prefix[retired], uint64(retired))
 		if execErr != nil {
 			return m.execStop(execErr)
 		}

@@ -86,7 +86,9 @@ func (tw *twins) both(f func(m *Machine)) {
 }
 
 // workload assembles a program exercising loops, loads, stores, byte
-// ops, calls and SVC; it runs forever under SysTick preemption.
+// ops, calls, SVC and a conditional countdown self-loop (sub; cmp; bne
+// to its own base, which the fast core chains); it runs forever under
+// SysTick preemption.
 func workload(base uint32) *Program {
 	a := NewAssembler(base)
 	a.Label("top").
@@ -106,7 +108,25 @@ func workload(base uint32) *Program {
 		Emit(Ldrb{R3, R4, 8}).
 		Emit(Add{R5, R5, R2}).
 		Emit(SVC{Imm: 7}).
+		Emit(MovImm{R6, 9}).
+		Label("countdown").
+		Emit(SubImm{R6, R6, 1}).
+		Emit(CmpImm{R6, 0}).
+		BTo(NE, "countdown").
 		BTo(AL, "top")
+	return a.MustAssemble()
+}
+
+// spinBase is where the fuzzer loads spin, away from workload(0x100).
+const spinBase = 0x800
+
+// spin assembles the release whileone loop, `add r7, #1; b .`: an
+// unconditional self-loop only preemption or a budget ends.
+func spin(base uint32) *Program {
+	a := NewAssembler(base)
+	a.Label("spin").
+		Emit(AddImm{R7, R7, 1}).
+		BTo(AL, "spin")
 	return a.MustAssemble()
 }
 
@@ -341,9 +361,17 @@ func TestFastCoreHintDropsOnGenerationBump(t *testing.T) {
 // FuzzFastCoreEquivalence interleaves random register corruption,
 // timer glitches and stepping on the twin machines — the blockstep
 // mirror of FuzzAccessMapEquivalence. Any state divergence fails.
+//
+// Op 5 moves both PCs between workload and spin, so runs start inside
+// a chained self-loop with the timer and budget cut at every phase; the
+// workload's countdown loop is chained on its way round.
 func FuzzFastCoreEquivalence(f *testing.F) {
 	f.Add([]byte{0x01, 0x40, 0x02, 0x13, 0x03})
 	f.Add([]byte{0xff, 0x00, 0x81, 0x7c, 0x22, 0x10, 0x05, 0x91})
+	// Into spin, budgets cut mid-pass, a dropped tick, jitter both ways,
+	// an MPU flip, back out to the countdown.
+	f.Add([]byte{0x05, 0x30, 0x1f, 0x04, 0xf9, 0x0f, 0x99, 0x06, 0xc1, 0x02, 0x40, 0x08, 0xfc, 0x0b})
+	f.Add([]byte{0xf0, 0xfc, 0xf0, 0x0b, 0x6f, 0x07, 0x9f, 0x04, 0xe5, 0x0a, 0x06, 0x01, 0x55})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 64 {
 			ops = ops[:64]
@@ -353,7 +381,7 @@ func FuzzFastCoreEquivalence(f *testing.F) {
 		tw.both(func(m *Machine) { m.Tick.Arm(60) })
 		for i := 0; i < len(ops); i++ {
 			op := ops[i]
-			switch op % 5 {
+			switch op % 6 {
 			case 0, 1: // run a quantum
 				ss, errS := tw.slow.Run(uint64(op)/4 + 1)
 				fs, errF := tw.fast.Run(uint64(op)/4 + 1)
@@ -383,6 +411,14 @@ func FuzzFastCoreEquivalence(f *testing.F) {
 				tw.both(func(m *Machine) { m.Tick.Jitter(int64(op) - 128) })
 			case 4: // drop the next tick
 				tw.both(func(m *Machine) { m.Tick.DropNext() })
+			case 5: // jump into spin, or back to the workload
+				tw.both(func(m *Machine) {
+					if m.CPU.PC >= spinBase {
+						m.CPU.PC = 0x100
+					} else {
+						m.CPU.PC = spinBase
+					}
+				})
 			}
 			if d := tw.diff(); d != "" {
 				t.Fatalf("op %d (0x%02x): %s", i, op, d)
@@ -402,6 +438,9 @@ func fuzzMachine() *Machine {
 		panic(err)
 	}
 	m := NewMachine(mem)
+	if err := m.LoadProgram(spin(spinBase)); err != nil {
+		panic(err)
+	}
 	setupUser(m, workload(0x100))
 	return m
 }

@@ -25,8 +25,14 @@ import (
 
 // Stats counts fast-core cache behaviour for tests, specs and the
 // ablation tooling. Single-threaded like the machines themselves.
+//
+// Hits counts block entries served from the table: a Lookup that found
+// the block, plus one per extra pass a self-loop chain ran back to back
+// (each pass re-enters the block at Base, so a chained pass is the same
+// entry an unchained core would have looked up). The other counters
+// keep their per-lookup or per-instruction meaning.
 type Stats struct {
-	Hits          uint64 // block found in the table
+	Hits          uint64 // block entries served from the table
 	Misses        uint64 // block not cached (built, cold- or slow-stepped)
 	Builds        uint64 // blocks decoded and inserted
 	Flushes       uint64 // whole-table invalidations (program load)
@@ -67,6 +73,28 @@ type Block[I any] struct {
 	// bit is always safe. Bits past index 63 are never set (fastBlockMax
 	// in both ports is ≤ 64).
 	Pure uint64
+	// Loop, when non-zero, marks a self-loop of Loop instructions:
+	// Instrs[:Loop-1] are pure and Instrs[Loop-1] is a direct branch
+	// whose target is Base. The fast core may run whole passes of it
+	// back to back, each costing Prefix[Loop], without re-entering the
+	// table (see SelfLoop). Zero is always safe.
+	Loop int
+}
+
+// SelfLoop returns the Loop length of b: the index+1 of the first
+// instruction backEdge reports as a direct branch to b.Base, provided
+// every instruction before it is pure, or 0. Call it once Pure is set;
+// a loop can only be as long as the Pure mask is wide.
+func SelfLoop[I any](b *Block[I], backEdge func(in I) bool) int {
+	for k, in := range b.Instrs {
+		if backEdge(in) {
+			return k + 1
+		}
+		if b.Pure&(1<<uint(k)) == 0 {
+			return 0
+		}
+	}
+	return 0
 }
 
 // Table is a direct-mapped block cache with a map backing store: the

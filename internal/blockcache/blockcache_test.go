@@ -47,3 +47,27 @@ func TestColdSlotsAreShared(t *testing.T) {
 		t.Fatal("colliding pc stayed cold after its slot warmed")
 	}
 }
+
+// TestSelfLoopShape: a loop is a run of pure instructions closed by the
+// first back edge; an impure instruction before it, or no back edge at
+// all, is no loop. Instructions are ints here: negative means a back
+// edge, and Pure marks the rest as the test says.
+func TestSelfLoopShape(t *testing.T) {
+	backEdge := func(in int) bool { return in < 0 }
+	for _, tc := range []struct {
+		name   string
+		instrs []int
+		pure   uint64
+		want   int
+	}{
+		{"branch to self", []int{-1, 7}, 0, 1},
+		{"pure body", []int{1, 2, -1, 3}, 0b011, 3},
+		{"impure body", []int{1, 2, -1}, 0b001, 0},
+		{"no back edge", []int{1, 2, 3}, 0b111, 0},
+	} {
+		b := &Block[int]{Instrs: tc.instrs, Pure: tc.pure}
+		if got := SelfLoop(b, backEdge); got != tc.want {
+			t.Errorf("%s: SelfLoop = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}

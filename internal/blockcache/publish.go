@@ -5,7 +5,9 @@ import "ticktock/internal/metrics"
 // Publish books the fast-core cache counters into a metrics registry,
 // closing the PR-9 metrics blind spot:
 //
-//	blockcache_hits_total             — blocks served from the table
+//	blockcache_hits_total             — block entries served from the
+//	                                    table; a self-loop pass chained
+//	                                    back to back counts as one entry
 //	blockcache_misses_total           — lookups that built or slow-stepped
 //	blockcache_invalidations_total    — whole-table flushes plus per-block
 //	                                    cover rechecks after a stamp change

@@ -299,3 +299,40 @@ func TestJournalMalformedDigestsFailClosed(t *testing.T) {
 		})
 	}
 }
+
+// FuzzJournalLoad feeds arbitrary bytes to the journal loader as an
+// existing file of a six-unit campaign. Loading must fail closed: it
+// returns an error, or it keeps only whole lines and restores in-range
+// records whose result digests verify. It never panics.
+func FuzzJournalLoad(f *testing.F) {
+	fp := []byte("fuzz-journal")
+	header := fmt.Sprintf(`{"campaign":1,"kind":"test","units":6,"config_sha256":%q}`+"\n", sha256hex(fp))
+	rec := func(unit int, result string) string {
+		return fmt.Sprintf(`{"unit":%d,"status":%d,"result":%s,"result_sha256":%q}`+"\n", unit, StatusOK, result, sha256hex([]byte(result)))
+	}
+	f.Add([]byte(`{"CAmpAign":1}` + "\n"))
+	f.Add([]byte(header + rec(0, "0") + `{"unit":1,"sta`))
+	f.Add([]byte(header + rec(2, "4") + rec(5, "25")))
+	f.Add([]byte(header + `{"checkpoint":true,"completed":1,"ranges":"2","agg_sha256":"ab"}` + "\n" + rec(2, "4")))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		j := &journal{path: "fuzz", restored: make(map[int]unitRecord), digests: make(map[int]string)}
+		keep, err := j.load(raw, journalHeader{Campaign: JournalVersion, Kind: "test", Units: 6, ConfigSHA: sha256hex(fp)})
+		if err != nil {
+			return
+		}
+		if keep <= 0 || keep > int64(len(raw)) || raw[keep-1] != '\n' {
+			t.Fatalf("kept %d of %d bytes: not a whole-line prefix", keep, len(raw))
+		}
+		for unit, r := range j.restored {
+			if unit != r.Unit || unit < 0 || unit >= 6 {
+				t.Fatalf("restored unit %d as index %d", r.Unit, unit)
+			}
+			if r.Status == StatusOK && sha256hex(r.Result) != r.ResultSHA {
+				t.Fatalf("unit %d restored with a result digest that does not verify", unit)
+			}
+			if j.digests[unit] != recordDigest(r) {
+				t.Fatalf("unit %d restored without its checkpoint digest", unit)
+			}
+		}
+	})
+}

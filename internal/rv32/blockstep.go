@@ -3,13 +3,14 @@ package rv32
 // The fast core: Run dispatches through a translation cache of
 // predecoded basic blocks instead of per-instruction Step calls, with
 // the PMP execute check performed once per block entry over the block's
-// cover via the accessmap. See internal/armv7m/blockstep.go for the
-// ARM twin and docs/SPEED.md for the equivalence argument. The one
-// port-specific wrinkle is the CLINT: unlike SysTick, its Advance does
-// not reload — after an expiry the count sits at zero and every later
-// Advance re-evaluates expiry (this is how DropNext's swallowed tick is
-// followed by a normally-latched one) — so a batched Advance is only
-// equivalent to per-instruction calls when the batch ends at the first
+// cover via the accessmap, and self-loop blocks run their passes back
+// to back. See internal/armv7m/blockstep.go for the ARM twin and
+// docs/SPEED.md for the equivalence argument. The one port-specific
+// wrinkle is the CLINT: unlike SysTick, its Advance does not reload —
+// after an expiry the count sits at zero and every later Advance
+// re-evaluates expiry (this is how DropNext's swallowed tick is followed
+// by a normally-latched one) — so a batched Advance is only equivalent
+// to per-instruction calls when the batch ends at the first
 // tick-crossing instruction, and a zero count with no latched interrupt
 // forces single-instruction batches.
 
@@ -85,8 +86,53 @@ func (m *Machine) buildBlock(pc uint32) *blockcache.Block[Instr] {
 			b.Pure |= 1 << uint(k)
 		}
 	}
+	b.Loop = blockcache.SelfLoop(b, func(in Instr) bool {
+		switch br := in.(type) {
+		case B:
+			return br.Addr == pc
+		case Jal:
+			return br.Addr == pc
+		}
+		return false
+	})
 	m.fast.table.Insert(b)
 	return b
+}
+
+// chain runs up to max whole passes of the self-loop block b back to
+// back; see the armv7m twin. A Jal back edge links PC+4, so the branch
+// runs at its architectural PC. Pure instructions and a direct branch
+// cannot trap or touch the PMP, so no pass needs a table lookup, a
+// stamp or cover recheck, or a timer poll.
+func (m *Machine) chain(b *blockcache.Block[Instr], max uint64) (passes uint64, retired int) {
+	// buildBlock only marks a loop whose back edge is a B or a Jal, so
+	// the branch is dispatched once here rather than once per pass.
+	body, last := b.Instrs[:b.Loop-1], b.Instrs[b.Loop-1]
+	bcc, isB := last.(B)
+	jal, _ := last.(Jal)
+	brPC := b.Base + uint32(4*(b.Loop-1))
+	for ; passes < max; passes++ {
+		for _, in := range body {
+			_ = execQuick(m, in)
+		}
+		m.pcWritten = false
+		m.PC = brPC
+		if isB {
+			_ = bcc.Exec(m)
+		} else {
+			_ = jal.Exec(m)
+		}
+		if !m.pcWritten {
+			return passes, b.Loop
+		}
+	}
+	return passes, 0
+}
+
+// charge books cost cycles to the meter and the CLINT.
+func (m *Machine) charge(cost uint64) {
+	m.Meter.Add(cost)
+	m.Timer.Advance(cost)
 }
 
 // pureInstr reports whether in's Exec always returns nil and never
@@ -204,32 +250,45 @@ func (m *Machine) runFast(budget uint64) (*Stop, error) {
 			}
 			continue
 		}
+		// One cycle allowance bounds everything retired from this entry.
 		// CLINT batching rule (see package comment): with the interrupt
 		// already latched, Advance only subtracts and batching is free;
-		// otherwise the batch must end at the first tick-crossing
-		// instruction, and a post-expiry zero count forces single steps.
+		// otherwise it must end at the first tick-crossing instruction,
+		// and a post-expiry zero count forces single steps. The budget
+		// stops at the same instruction as the oracle.
+		allow := ^uint64(0)
 		if m.Timer.Enabled && !m.Timer.pending {
-			c := m.Timer.current
-			if c == 0 {
-				c = 1
-			}
-			if k := blockcache.BatchLimit(b.Prefix, n, c-1); k+1 < n {
-				n = k + 1
-			}
+			allow = max(m.Timer.current, 1) - 1
 		}
 		if budget != 0 {
-			rem := budget - (m.Meter.Cycles() - start)
-			if k := blockcache.BatchLimit(b.Prefix, n, rem-1); k+1 < n {
-				n = k + 1
+			allow = min(allow, budget-(m.Meter.Cycles()-start)-1)
+		}
+		// A self-loop first runs every whole pass the allowance admits
+		// back to back, charged at once: no tick latches and the budget
+		// does not run out inside the allowance, so charging them before
+		// the batch is what the oracle's per-instruction charges add up
+		// to. The final partial pass, or the rest of the block after a
+		// fall-through, is the batch below.
+		retired := 0
+		if b.Loop != 0 && b.Loop <= n {
+			var passes uint64
+			passes, retired = m.chain(b, allow/b.Prefix[b.Loop])
+			if passes != 0 {
+				cost := passes * b.Prefix[b.Loop]
+				m.charge(cost)
+				allow -= cost
+				f.table.Stats.Hits += passes
 			}
+		}
+		if k := blockcache.BatchLimit(b.Prefix, n, allow); k+1 < n {
+			n = k + 1
 		}
 		// pcWritten is cleared once per batch, not per instruction: only
 		// writePC sets it, the loop breaks immediately after any set, and
 		// pure instructions never call it.
 		m.pcWritten = false
-		retired := 0
 		var execErr error
-		for i := 0; i < n; i++ {
+		for i := retired; i < n; i++ {
 			in := b.Instrs[i]
 			if b.Pure&(1<<uint(i)) != 0 {
 				// Pure per Block.Pure: no error, no PC access. The stale
@@ -249,9 +308,7 @@ func (m *Machine) runFast(budget uint64) (*Stop, error) {
 		// Charge the batch in one go before any trap entry so the meter
 		// and timer match the oracle at trap time. No Exec reads the
 		// meter or timer, so deferring the charges is unobservable.
-		cost := b.Prefix[retired]
-		m.Meter.Add(cost)
-		m.Timer.Advance(cost)
+		m.charge(b.Prefix[retired])
 		if execErr != nil {
 			return m.execStop(execErr)
 		}

@@ -76,8 +76,9 @@ func (tw *rvTwins) run(t *testing.T, budget uint64) *Stop {
 	return ss
 }
 
-// rvWorkload loops over arithmetic, word/byte loads and stores, a call
-// and an ecall, forever.
+// rvWorkload loops over arithmetic, word/byte loads and stores, a call,
+// an ecall and a conditional countdown self-loop (addi; bne to its own
+// base, which the fast core chains), forever.
 func rvWorkload() *Program {
 	a := NewAssembler(0x2000_0000)
 	a.Label("top").
@@ -96,7 +97,24 @@ func rvWorkload() *Program {
 		Emit(Lbu{A2, S0, 8}).
 		Emit(Add{S1, S1, A1}).
 		Emit(Ecall{}).
+		Emit(Li{T1, 9}).
+		Label("countdown").
+		Emit(Addi{T1, T1, -1}).
+		BTo(BNE, T1, Zero, "countdown").
 		JTo("top")
+	return a.MustAssemble()
+}
+
+// rvSpinBase is where the fuzzer loads rvSpin, away from rvWorkload.
+const rvSpinBase = 0x2000_0800
+
+// rvSpin assembles the release whileone loop, `addi s2, s2, 1; j .`: an
+// unconditional Jal self-loop only the timer or a budget ends.
+func rvSpin(base uint32) *Program {
+	a := NewAssembler(base)
+	a.Label("spin").
+		Emit(Addi{S2, S2, 1}).
+		JTo("spin")
 	return a.MustAssemble()
 }
 
@@ -288,9 +306,17 @@ func TestRvFastCoreDropTickParity(t *testing.T) {
 
 // FuzzRvFastCoreEquivalence interleaves PMP corruption, timer glitches
 // and stepping on the twin machines, mirroring FuzzAccessMapEquivalence.
+//
+// Op 5 moves both PCs between rvWorkload and rvSpin, so runs start
+// inside a chained self-loop with the timer and budget cut at every
+// phase; the workload's countdown loop is chained on its way round.
 func FuzzRvFastCoreEquivalence(f *testing.F) {
 	f.Add([]byte{0x01, 0x40, 0x02, 0x13, 0x03})
 	f.Add([]byte{0xff, 0x00, 0x81, 0x7c, 0x22, 0x10, 0x05, 0x91})
+	// Into spin, budgets cut mid-pass, a dropped tick, jitter both ways,
+	// a PMP flip, back out to the countdown.
+	f.Add([]byte{0x05, 0x30, 0x1f, 0x04, 0xf9, 0x0f, 0x99, 0x06, 0xc1, 0x02, 0x40, 0x08, 0xfc, 0x0b})
+	f.Add([]byte{0xf0, 0xfc, 0xf0, 0x0b, 0x6f, 0x07, 0x9f, 0x04, 0xe5, 0x0a, 0x06, 0x01, 0x55})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 64 {
 			ops = ops[:64]
@@ -300,7 +326,7 @@ func FuzzRvFastCoreEquivalence(f *testing.F) {
 		tw.both(func(m *Machine) { m.Timer.Arm(60) })
 		for i := 0; i < len(ops); i++ {
 			op := ops[i]
-			switch op % 5 {
+			switch op % 6 {
 			case 0, 1: // run
 				ss, errS := tw.slow.Run(uint64(op)/4 + 1)
 				fs, errF := tw.fast.Run(uint64(op)/4 + 1)
@@ -329,6 +355,14 @@ func FuzzRvFastCoreEquivalence(f *testing.F) {
 				tw.both(func(m *Machine) { m.Timer.Jitter(int64(op) - 128) })
 			case 4:
 				tw.both(func(m *Machine) { m.Timer.DropNext() })
+			case 5: // jump into spin, or back to the workload
+				tw.both(func(m *Machine) {
+					if m.PC >= rvSpinBase {
+						m.PC = 0x2000_0000
+					} else {
+						m.PC = rvSpinBase
+					}
+				})
 			}
 			if d := tw.diff(); d != "" {
 				t.Fatalf("op %d (0x%02x): %s", i, op, d)
@@ -346,6 +380,9 @@ func rvFuzzMachine() *Machine {
 		panic(err)
 	}
 	m := NewMachine(mem, riscv.ChipHiFive1)
+	if err := m.LoadProgram(rvSpin(rvSpinBase)); err != nil {
+		panic(err)
+	}
 	setupRvUser(m, rvWorkload())
 	return m
 }

@@ -1,10 +1,14 @@
 package specs
 
 import (
+	"fmt"
+
 	"ticktock/internal/accessmap"
 	"ticktock/internal/armv7m"
 	"ticktock/internal/armv8m"
 	"ticktock/internal/blockcache"
+	"ticktock/internal/cycles"
+	"ticktock/internal/flightrec"
 	"ticktock/internal/mpu"
 	"ticktock/internal/physmem"
 	"ticktock/internal/riscv"
@@ -34,6 +38,13 @@ import (
 //     the piece both ports must agree on despite their documented
 //     polling asymmetry (rv32 defers delivery while in machine mode;
 //     armv7m polls unconditionally).
+//   - self_loop_equiv: a self-loop block (pure instructions closed by a
+//     direct branch to its own base) runs its passes back to back under
+//     one tick-and-budget allowance. For both loop shapes, whileone's
+//     unconditional spin and a conditional countdown that falls
+//     through, the oracle and fast cores agree on architectural state,
+//     meter and timer after every run, at every tick reload and budget
+//     cut from one cycle to past three passes.
 
 // CompBlockCache groups the fast-core obligations.
 const CompBlockCache = "BlockCache"
@@ -264,6 +275,195 @@ func rvTimerEntry(t *verify.T, sc timerScenario, fast bool) {
 	}
 }
 
+// selfLoop is one loop shape on one port: pass is the cycles one pass
+// costs, twins builds its oracle/fast machine pair.
+type selfLoop struct {
+	shape string
+	pass  uint64
+	twins func() loopTwins
+}
+
+// loopTwins drives one self-loop program on an oracle machine (index 0)
+// and a fast-core machine (index 1) of one port.
+type loopTwins struct {
+	reset func(i int, reload uint64)
+	// run returns a comparable stop summary and whether the run ended
+	// on its budget, leaving the machine inside the program.
+	run   func(i int, budget uint64) (stop string, budgetStop bool, err error)
+	state func(i int) (fields []flightrec.Field, meter uint64)
+}
+
+// selfLoopDomain is the number of (reload, budget) points checkSelfLoop
+// sweeps for a loop whose pass costs pass cycles.
+func selfLoopDomain(pass uint64) uint64 { return (3*pass+2)*(3*pass+2) - 1 }
+
+// checkSelfLoop sweeps every tick reload and every budget from one cycle
+// to past three passes (0 meaning none; not both, since a spin with
+// neither never stops). Each point restarts both machines at the
+// program entry and runs them up to four times, comparing stops, every
+// flight-recorder field (timer included) and the meter after each run.
+// The machines persist across points, so the loop block is built once
+// and later points enter the chain from a warm table.
+func checkSelfLoop(t *verify.T, port string, sl selfLoop) {
+	tw, shape := sl.twins(), sl.shape
+	top := 3*sl.pass + 1
+	for reload := uint64(0); reload <= top; reload++ {
+		for budget := uint64(0); budget <= top; budget++ {
+			if reload == 0 && budget == 0 {
+				continue
+			}
+			if t.Stopped() {
+				return
+			}
+			t.Enumerate(1)
+			tw.reset(0, reload)
+			tw.reset(1, reload)
+			for run := 0; run < 4; run++ {
+				so, more, errO := tw.run(0, budget)
+				sf, _, errF := tw.run(1, budget)
+				if errO != nil || errF != nil || so != sf {
+					t.Failf("self_loop stop", "%s/%s reload=%d budget=%d run=%d: oracle %s (%v), fast %s (%v)",
+						port, shape, reload, budget, run, so, errO, sf, errF)
+					return
+				}
+				fo, mo := tw.state(0)
+				ff, mf := tw.state(1)
+				if mo != mf {
+					t.Failf("self_loop meter", "%s/%s reload=%d budget=%d run=%d: oracle %d cycles, fast %d",
+						port, shape, reload, budget, run, mo, mf)
+					return
+				}
+				for k := range fo {
+					if fo[k] != ff[k] {
+						t.Failf("self_loop state", "%s/%s reload=%d budget=%d run=%d: %s oracle %#x, fast %#x",
+							port, shape, reload, budget, run, fo[k].Name, fo[k].Val, ff[k].Val)
+						return
+					}
+				}
+				if !more {
+					break
+				}
+			}
+		}
+	}
+}
+
+// armLoopTwins loads prog at 0x100 on a privileged oracle/fast pair.
+func armLoopTwins(prog *armv7m.Program) loopTwins {
+	var ms [2]*armv7m.Machine
+	for i := range ms {
+		mem := armv7m.NewMemory()
+		must2(mem.Map("flash", 0, 0x8000))
+		must2(mem.Map("ram", 0x2000_0000, 0x8000))
+		ms[i] = armv7m.NewMachine(mem)
+		ms[i].SetFastCore(i == 1)
+		must(ms[i].LoadProgram(prog))
+	}
+	return loopTwins{
+		reset: func(i int, reload uint64) {
+			m := ms[i]
+			m.CPU = armv7m.CPU{PC: prog.Base, MSP: 0x2000_7F00, Mode: armv7m.ModeThread}
+			if reload == 0 {
+				m.Tick.Disarm()
+			} else {
+				m.Tick.Arm(uint32(reload))
+			}
+		},
+		run: func(i int, budget uint64) (string, bool, error) {
+			stop, err := ms[i].Run(budget)
+			if err != nil {
+				return "", false, err
+			}
+			return fmt.Sprintf("%v/%d", stop.Reason, stop.SVCNum), stop.Reason == armv7m.StopBudget, nil
+		},
+		state: func(i int) ([]flightrec.Field, uint64) { return ms[i].FlightFields(), ms[i].Meter.Cycles() },
+	}
+}
+
+// rvLoopTwins loads prog at 0x2000_0000 on a user-mode oracle/fast pair
+// whose PMP grants the code execute.
+func rvLoopTwins(prog *rv32.Program) loopTwins {
+	var ms [2]*rv32.Machine
+	for i := range ms {
+		mem := physmem.NewMemory()
+		must2(mem.Map("flash", 0x2000_0000, 0x8000))
+		must2(mem.Map("ram", 0x8000_0000, 0x8000))
+		ms[i] = rv32.NewMachine(mem, riscv.ChipHiFive1)
+		ms[i].SetFastCore(i == 1)
+		must(ms[i].LoadProgram(prog))
+		code, _ := riscv.EncodeNAPOT(0x2000_0000, 0x8000)
+		must(ms[i].PMP.SetEntry(0, riscv.EncodeCfg(mpu.ReadExecuteOnly, riscv.ANapot), code))
+	}
+	return loopTwins{
+		reset: func(i int, reload uint64) {
+			m := ms[i]
+			m.X = [32]uint32{}
+			m.PC, m.Priv = prog.Base, rv32.PrivUser
+			if reload == 0 {
+				m.Timer.Disarm()
+			} else {
+				m.Timer.Arm(reload)
+			}
+		},
+		run: func(i int, budget uint64) (string, bool, error) {
+			stop, err := ms[i].Run(budget)
+			if err != nil {
+				return "", false, err
+			}
+			return fmt.Sprintf("%v/%d", stop.Reason, stop.Cause), stop.Reason == rv32.StopBudget, nil
+		},
+		state: func(i int) ([]flightrec.Field, uint64) { return ms[i].FlightFields(), ms[i].Meter.Cycles() },
+	}
+}
+
+// armSelfLoops are whileone's `add; b .` and a countdown `sub; cmp; bne
+// self` that falls through to an SVC every 5 passes.
+var armSelfLoops = []selfLoop{
+	{"spin", armv7m.CostALU + armv7m.CostBranch, func() loopTwins {
+		a := armv7m.NewAssembler(0x100)
+		a.Label("spin").
+			Emit(armv7m.AddImm{Rd: armv7m.R4, Rn: armv7m.R4, Imm: 1}).
+			BTo(armv7m.AL, "spin")
+		return armLoopTwins(a.MustAssemble())
+	}},
+	{"countdown", 2*armv7m.CostALU + armv7m.CostBranch, func() loopTwins {
+		a := armv7m.NewAssembler(0x100)
+		a.Label("top").
+			Emit(armv7m.MovImm{Rd: armv7m.R6, Imm: 5}).
+			Label("countdown").
+			Emit(armv7m.SubImm{Rd: armv7m.R6, Rn: armv7m.R6, Imm: 1}).
+			Emit(armv7m.CmpImm{Rn: armv7m.R6, Imm: 0}).
+			BTo(armv7m.NE, "countdown").
+			Emit(armv7m.SVC{Imm: 3}).
+			BTo(armv7m.AL, "top")
+		return armLoopTwins(a.MustAssemble())
+	}},
+}
+
+// rvSelfLoops are whileone's `addi; j .` (a Jal back edge) and a
+// countdown `addi; bne self` that falls through to an ecall every 5
+// passes.
+var rvSelfLoops = []selfLoop{
+	{"spin", cycles.ALU + cycles.Call, func() loopTwins {
+		a := rv32.NewAssembler(0x2000_0000)
+		a.Label("spin").
+			Emit(rv32.Addi{Rd: rv32.S2, Rs1: rv32.S2, Imm: 1}).
+			JTo("spin")
+		return rvLoopTwins(a.MustAssemble())
+	}},
+	{"countdown", cycles.ALU + cycles.Branch, func() loopTwins {
+		a := rv32.NewAssembler(0x2000_0000)
+		a.Label("top").
+			Emit(rv32.Li{Rd: rv32.T1, Imm: 5}).
+			Label("countdown").
+			Emit(rv32.Addi{Rd: rv32.T1, Rs1: rv32.T1, Imm: -1}).
+			BTo(rv32.BNE, rv32.T1, rv32.Zero, "countdown").
+			Emit(rv32.Ecall{}).
+			JTo("top")
+		return rvLoopTwins(a.MustAssemble())
+	}},
+}
+
 // BuildBlockCache registers the fast-core obligations.
 func BuildBlockCache(sc Scale) *verify.Registry {
 	_ = sc // the domains below are exhaustive per configuration
@@ -447,6 +647,25 @@ func BuildBlockCache(sc Scale) *verify.Registry {
 			}
 		},
 	})
+
+	for _, port := range []struct {
+		name  string
+		loops []selfLoop
+	}{{"armv7m", armSelfLoops}, {"riscv", rvSelfLoops}} {
+		var domain uint64
+		for _, sl := range port.loops {
+			domain += selfLoopDomain(sl.pass)
+		}
+		r.Add(&verify.Spec{
+			Component: CompBlockCache, Name: "blockcache/self_loop_equiv/" + port.name,
+			SpecLines: 3, DomainSize: domain,
+			Body: func(t *verify.T) {
+				for _, sl := range port.loops {
+					checkSelfLoop(t, port.name, sl)
+				}
+			},
+		})
+	}
 
 	return r
 }

@@ -9,9 +9,10 @@ func TestBlockCacheObligationsHold(t *testing.T) {
 	}
 	// lookup_maximal + block_exec_equiv per stepping port,
 	// hint_invalidation_sound for all three protection models (armv8m
-	// included), plus the cross-port timer_user_entry contract.
-	if len(rep.Results) != 8 {
-		t.Fatalf("%d block-cache obligations registered, want 8", len(rep.Results))
+	// included), the cross-port timer_user_entry contract, and
+	// self_loop_equiv per stepping port.
+	if len(rep.Results) != 10 {
+		t.Fatalf("%d block-cache obligations registered, want 10", len(rep.Results))
 	}
 	names := map[string]bool{}
 	for _, r := range rep.Results {
@@ -19,5 +20,10 @@ func TestBlockCacheObligationsHold(t *testing.T) {
 	}
 	if !names["blockcache/timer_user_entry"] {
 		t.Fatal("timer_user_entry obligation missing — the documented rv32/armv7m polling asymmetry is unpinned")
+	}
+	for _, port := range []string{"armv7m", "riscv"} {
+		if !names["blockcache/self_loop_equiv/"+port] {
+			t.Fatalf("self_loop_equiv/%s obligation missing — self-loop chaining is unpinned", port)
+		}
 	}
 }
