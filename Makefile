@@ -84,7 +84,7 @@ faultcamp:
 # sealed evidence including receipt re-derivation.
 campaigncheck:
 	$(GO) test -race -count=1 ./internal/campaign/
-	$(GO) test -race -count=1 -run 'Supervised|KillAndResume|Chaos|Quarantine|RecordRunsBothOrNeither|EmptyCampaign|NestedBackoff|CampaignObligations' \
+	$(GO) test -race -count=1 -run 'Supervised|ParallelCampaign|KillAndResume|Chaos|Quarantine|RecordRunsBothOrNeither|EmptyCampaign|NestedBackoff|CampaignObligations' \
 		./internal/faultinject/ ./internal/difftest/ ./internal/specs/ ./cmd/faultcamp/
 	rm -rf quarantine && mkdir -p quarantine
 	$(GO) run ./cmd/faultcamp -seed 7 -n 12 -chaos "wedge:2,panic:9" -timeout 2s -retries 1 -quarantine quarantine
@@ -124,8 +124,8 @@ runcheck:
 # cache against a fresh build. Every kernel boots on the fast core, so
 # these guard what campaigns run. Then the fail-closed fuzzers: the MPU
 # check on arbitrary register contents, and the parsers of bytes read from
-# disk (TBF headers, flight recordings, campaign journals), which must
-# return an error rather than panic.
+# disk (TBF headers, flight recordings, campaign journals, runpack
+# receipts), which must return an error rather than panic.
 FUZZTIME ?= 10s
 fuzzcheck:
 	$(GO) test -run '^$$' -fuzz '^FuzzFastCoreEquivalence$$' -fuzztime $(FUZZTIME) ./internal/armv7m/
@@ -139,3 +139,4 @@ fuzzcheck:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/tbf/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/flightrec/
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalLoad$$' -fuzztime $(FUZZTIME) ./internal/campaign/
+	$(GO) test -run '^$$' -fuzz '^FuzzReceipt$$' -fuzztime $(FUZZTIME) ./internal/runpack/

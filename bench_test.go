@@ -130,7 +130,10 @@ func BenchmarkFig10_ProofEffort(b *testing.B) {
 func BenchmarkDifferentialCampaign(b *testing.B) {
 	var s difftest.Summary
 	for i := 0; i < b.N; i++ {
-		rows := difftest.RunAll()
+		rows, _, err := difftest.RunAll(difftest.Config{}, campaign.Config{}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		s = difftest.Summarize(rows)
 		if s.Unexpected != 0 || s.Errored != 0 {
 			b.Fatalf("unexpected diffs: %+v", s)
@@ -453,12 +456,12 @@ func BenchmarkAblation_TelemetryOverhead(b *testing.B) {
 		}
 
 		// Campaign layer: telemetered report must be byte-identical.
-		plainRep, _, err := faultinject.RunSupervised(cfg, sup)
+		plainRep, _, err := faultinject.RunSupervised(cfg, sup, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		telPlane := telemetry.New()
-		telRep, _, err := faultinject.RunSupervisedTelemetry(cfg, sup, telPlane)
+		telRep, _, err := faultinject.RunSupervised(cfg, sup, telPlane)
 		if err != nil {
 			b.Fatal(err)
 		}

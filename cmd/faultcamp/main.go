@@ -25,14 +25,15 @@
 // aggregate), /progress (JSON progress snapshot), /healthz and
 // /timeline (the merged wall-clock/kernel-event fleet trace in Chrome
 // trace-event JSON). -progress renders a single-line live ticker to
-// stderr. Both force the supervised path; neither changes the report —
-// telemetry observes the campaign, it never steers it.
+// stderr. Neither changes the report — telemetry observes the campaign,
+// it never steers it.
 //
-// Any of -resume, -timeout, -retries, -stop-after, -quarantine,
-// -chaos, -serve or -progress runs the campaign under the
-// crash-resilient supervisor
-// (internal/campaign): per-scenario wall-clock timeouts, panic
-// isolation, retry with exponential backoff and poison quarantine. With
+// Every campaign runs under the crash-resilient supervisor
+// (internal/campaign). -timeout, -retries, -resume, -stop-after,
+// -quarantine and -chaos tune it: per-scenario wall-clock timeouts,
+// panic isolation, retry with exponential backoff and poison
+// quarantine. Any of them, or -serve or -progress, also adds the
+// supervisor's campaign_* series to -metrics. With
 // -resume FILE, completed scenarios are checkpointed to an fsync'd
 // journal and an interrupted campaign continues from where it stopped —
 // with byte-identical final output at any worker count. Quarantined
@@ -102,6 +103,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Timeout: *timeout, Retries: *retries,
 		Journal: *resume, StopAfter: *stopAfter,
 	}
+	// Every run goes through the supervisor; a supervisor flag only
+	// decides whether -metrics also publishes the campaign_* series,
+	// whose steal counts vary run to run.
 	supervised := *resume != "" || *timeout > 0 || *retries > 0 ||
 		*stopAfter > 0 || *quarantineDir != "" || *chaos != "" ||
 		*serve != "" || *progress
@@ -120,40 +124,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "telemetry: serving http://%s\n", srv.Addr())
 	}
 
-	var rep *faultinject.Report
-	var supRun *campaign.Run[faultinject.Result]
-	if supervised {
-		tty := (*telemetry.TTY)(nil)
-		if *progress {
-			tty = telemetry.StartTTY(stderr, plane, 0)
-		}
-		var err error
-		rep, supRun, err = faultinject.RunSupervisedTelemetry(cfg, sup, plane)
-		tty.Stop()
-		if err != nil {
-			fmt.Fprintf(stderr, "faultcamp: %v\n", err)
-			return 1
-		}
-	} else {
-		rep = faultinject.Run(cfg)
+	tty := (*telemetry.TTY)(nil)
+	if *progress {
+		tty = telemetry.StartTTY(stderr, plane, 0)
+	}
+	rep, supRun, err := faultinject.RunSupervised(cfg, sup, plane)
+	tty.Stop()
+	if err != nil {
+		fmt.Fprintf(stderr, "faultcamp: %v\n", err)
+		return 1
 	}
 	fmt.Fprint(stdout, rep.Text())
 
 	if *packDir != "" {
-		var dir, receipt string
-		var err error
-		if supervised {
-			dir, receipt, err = runpack.EmitFaultcampSupervised(*packDir, rep, sup)
-		} else {
-			dir, receipt, err = runpack.EmitFaultcamp(*packDir, rep)
-		}
+		dir, receipt, err := runpack.EmitFaultcampSupervised(*packDir, rep, sup)
 		if err != nil {
 			fmt.Fprintf(stderr, "faultcamp: sealing runpack: %v\n", err)
 			return 1
 		}
 		fmt.Fprintf(stderr, "runpack: %s\n%s\n", dir, receipt)
 	}
-	if *quarantineDir != "" && supRun != nil {
+	if *quarantineDir != "" {
 		for _, o := range supRun.Quarantined() {
 			dir, _, err := runpack.EmitQuarantine(*quarantineDir, cfg, o)
 			if err != nil {
@@ -194,7 +185,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *metricsOut {
 		reg := metrics.NewRegistry()
 		rep.Publish(reg)
-		if supRun != nil {
+		if supervised {
 			supRun.Stats.Publish(reg)
 		}
 		fmt.Fprintln(stdout)
@@ -204,7 +195,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if supRun != nil && supRun.Interrupted {
+	if supRun.Interrupted {
 		fmt.Fprintf(stderr, "faultcamp: campaign interrupted after %d newly completed scenario(s); continue with -resume %s\n",
 			supRun.Stats.Completed, *resume)
 	}

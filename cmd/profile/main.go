@@ -19,6 +19,7 @@ import (
 	"os"
 
 	"ticktock/internal/apps"
+	"ticktock/internal/campaign"
 	"ticktock/internal/difftest"
 	"ticktock/internal/kernel"
 	"ticktock/internal/metrics"
@@ -105,7 +106,10 @@ func main() {
 		}
 		reg, prof = r, k.Profile()
 	case *all:
-		rows := difftest.RunAllConfig(difftest.Config{Metrics: true, Workers: *workers})
+		rows, _, err := difftest.RunAll(difftest.Config{Metrics: true}, campaign.Config{Workers: *workers}, nil)
+		if err != nil {
+			fatalf("%v", err)
+		}
 		for _, r := range rows {
 			if r.Err != nil {
 				fatalf("%s: %v", r.Name, r.Err)

@@ -10,12 +10,12 @@ package difftest
 // kernel and the fast core's contract is full observational equality.
 
 import (
+	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"ticktock/internal/apps"
+	"ticktock/internal/campaign"
 	"ticktock/internal/kernel"
 	"ticktock/internal/monolithic"
 )
@@ -64,33 +64,36 @@ func RunCoreOracleCase(tc apps.TestCase, fl kernel.Flavour) CoreRow {
 }
 
 // RunCoreOracle runs the full release-test suite on both flavours,
-// each case once per core, on a worker pool. Every row must be OK.
+// each case once per core, as units of the campaign supervisor with
+// the given worker count (0 = GOMAXPROCS). Every row must be OK; a
+// comparison that panics comes back as an errored row.
 func RunCoreOracle(workers int) []CoreRow {
 	cases := apps.All()
 	flavours := []kernel.Flavour{kernel.FlavourTickTock, kernel.FlavourTock}
-	rows := make([]CoreRow, len(cases)*len(flavours))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	at := func(i int) (apps.TestCase, kernel.Flavour) {
+		return cases[i/len(flavours)], flavours[i%len(flavours)]
 	}
-	if workers > len(rows) {
-		workers = len(rows)
+	run, err := campaign.Supervise(campaign.Config{Workers: workers}, campaign.Source[CoreRow]{
+		N:    len(cases) * len(flavours),
+		Kind: "difftest-cores",
+		Key: func(i int) string {
+			tc, fl := at(i)
+			return tc.Name + "/" + fl.String()
+		},
+		Run: func(_ context.Context, i int) (CoreRow, error) { return RunCoreOracleCase(at(i)), nil },
+	})
+	if err != nil {
+		panic(err) // no journal and a non-negative unit count: cannot fail
 	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				rows[i] = RunCoreOracleCase(cases[i/len(flavours)], flavours[i%len(flavours)])
-			}
-		}()
+	rows := make([]CoreRow, len(run.Outcomes))
+	for i, o := range run.Outcomes {
+		rows[i] = o.Result
+		if o.Status != campaign.StatusOK {
+			tc, fl := at(i)
+			last := o.Attempts[len(o.Attempts)-1]
+			rows[i] = CoreRow{Name: tc.Name, Flavour: fl, Err: fmt.Errorf("%s: %s", last.Failure, last.Err)}
+		}
 	}
-	for i := range rows {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 	return rows
 }
 

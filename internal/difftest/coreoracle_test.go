@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"ticktock/internal/campaign"
 	"ticktock/internal/kernel"
 )
 
@@ -39,8 +40,8 @@ func TestFastCoreOracleParity(t *testing.T) {
 // default fast-core campaign's. Metrics prove which core each arm ran:
 // only a fast-core run publishes blockcache_* series.
 func TestFastCoreCampaignMatchesOracleCampaign(t *testing.T) {
-	slow := RunAllConfig(Config{NoTraceDump: true, Metrics: true, oracle: true})
-	fast := RunAllConfig(Config{NoTraceDump: true, Metrics: true})
+	slow := mustRunAll(t, Config{NoTraceDump: true, Metrics: true, oracle: true}, campaign.Config{})
+	fast := mustRunAll(t, Config{NoTraceDump: true, Metrics: true}, campaign.Config{})
 	if len(slow) != len(fast) {
 		t.Fatalf("row counts differ: %d vs %d", len(slow), len(fast))
 	}

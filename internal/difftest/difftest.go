@@ -5,21 +5,20 @@
 // memory-layout details or cycle-dependent sensor values — and the
 // remaining sixteen must match byte for byte.
 //
-// Cases are independent kernels, so the campaign runs on a worker pool;
-// a case that fails to run is recorded in its Row.Err rather than
-// aborting the campaign. When a case's result does not match its
-// expectation (an *unexpected* mismatch), the case is re-run on both
-// flavours under the kernel event tracer and the two timelines are
-// attached to the row side by side, turning a byte-diff into a causal
-// timeline.
+// Cases are independent kernels, so the campaign runs them as units of
+// the campaign supervisor (internal/campaign); a case that fails to run
+// is recorded in its Row.Err rather than aborting the campaign. When a
+// case's result does not match its expectation (an *unexpected*
+// mismatch), the case is re-run on both flavours under the kernel event
+// tracer and the two timelines are attached to the row side by side,
+// turning a byte-diff into a causal timeline.
 package difftest
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"ticktock/internal/apps"
 	"ticktock/internal/campaign"
@@ -41,8 +40,6 @@ type Config struct {
 	// kernel (and MissedModeSwitch in the shared switch path). Used to
 	// force unexpected divergences — and exercise the divergence dump.
 	Bugs monolithic.BugSet
-	// Workers sizes the worker pool (0 means GOMAXPROCS).
-	Workers int
 	// NoTraceDump disables the automatic divergence trace dump.
 	NoTraceDump bool
 	// TraceCapacity bounds each divergence tracer's ring buffer
@@ -167,22 +164,19 @@ func RunMeasured(tc apps.TestCase, fl kernel.Flavour) (*kernel.Kernel, *metrics.
 	return k, reg, err
 }
 
-// RunCase executes one case on both flavours with the default config.
-func RunCase(tc apps.TestCase) Row { return RunCaseConfig(tc, Config{}) }
-
 // RunCaseConfig executes one case on both flavours. Infrastructure
 // failures land in Row.Err; an unexpected mismatch triggers the
 // divergence trace dump (unless disabled).
 func RunCaseConfig(tc apps.TestCase, cfg Config) Row {
-	return RunCaseTraced(tc, cfg, nil)
+	return runCase(tc, cfg, nil)
 }
 
-// RunCaseTraced is RunCaseConfig with a kernel tracer attached to the
+// runCase is RunCaseConfig with a kernel tracer attached to the
 // TickTock-flavour run — the hook the live telemetry plane uses to nest
 // a case's kernel events under its attempt span. The tracer observes
 // the cycle meter without charging it, so a traced Row is identical to
-// an untraced one. A nil tracer is exactly RunCaseConfig.
-func RunCaseTraced(tc apps.TestCase, cfg Config, tr *trace.Tracer) Row {
+// an untraced one.
+func runCase(tc apps.TestCase, cfg Config, tr *trace.Tracer) Row {
 	row := Row{Name: tc.Name, ExpectDiff: tc.ExpectDiff}
 	var ttReg, tkReg *metrics.Registry
 	if cfg.Metrics {
@@ -265,67 +259,31 @@ func divergenceDump(tc apps.TestCase, cfg Config) string {
 	return b.String()
 }
 
-// RunAll executes the whole campaign with the default config.
-func RunAll() []Row { return RunAllConfig(Config{}) }
-
-// RunAllConfig executes the whole campaign on a worker pool. Cases are
-// independent kernels, so they parallelize freely; rows come back in
-// case order regardless of completion order.
-func RunAllConfig(cfg Config) []Row {
-	cases := apps.All()
-	rows := make([]Row, len(cases))
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cases) {
-		workers = len(cases)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				rows[i] = RunCaseConfig(cases[i], cfg)
-			}
-		}()
-	}
-	for i := range cases {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return rows
+// RunAll executes the whole campaign under the campaign supervisor:
+// every case is one unit with sup's wall-clock timeout, panic isolation
+// and retry budget, and a case that fails every attempt is quarantined
+// into an errored row instead of wedging or crashing the pool. Rows come
+// back in case order at any worker count. With no retries, a case that
+// fails to run keeps its own error text in Row.Err.
+//
+// Rows carry live registries, profiles and error values, so they are
+// not journal-serializable: sup.Journal must be empty (resumable
+// manifests are the fault campaign's feature).
+//
+// A non-nil plane is the live telemetry plane: it becomes the
+// supervisor's observer (when the caller has not installed one), each
+// attempt's TickTock run carries a kernel tracer drawn from the plane's
+// nest budget, and each completed row publishes its per-flavour
+// registries into the plane's streaming aggregate — so the live
+// aggregate converges to MergeMetrics of the finished rows.
+func RunAll(cfg Config, sup campaign.Config, plane *telemetry.Plane) ([]Row, *campaign.Run[Row], error) {
+	return runCases(apps.All(), cfg, sup, plane)
 }
 
-// RunAllSupervised executes the campaign under the crash-resilient
-// campaign supervisor: every case gets a wall-clock timeout, panic
-// isolation and a retry budget, and a case that fails every attempt is
-// quarantined into an errored row instead of wedging or crashing the
-// pool. Rows carry live registries, profiles and error values, so they
-// are not journal-serializable: supervision here is in-memory only and
-// sup.Journal must be empty (resumable manifests are the fault
-// campaign's feature).
-func RunAllSupervised(cfg Config, sup campaign.Config) ([]Row, *campaign.Run[Row], error) {
-	return RunAllSupervisedTelemetry(cfg, sup, nil)
-}
-
-// RunAllSupervisedTelemetry is RunAllSupervised with a live telemetry
-// plane: the plane becomes the supervisor's observer (when the caller
-// has not installed one), each attempt's TickTock run carries a kernel
-// tracer drawn from the plane's nest budget, and each completed row
-// publishes its per-flavour registries into the plane's streaming
-// aggregate — so the live aggregate converges to MergeMetrics of the
-// finished rows. A nil plane is exactly RunAllSupervised.
-func RunAllSupervisedTelemetry(cfg Config, sup campaign.Config, plane *telemetry.Plane) ([]Row, *campaign.Run[Row], error) {
+// runCases is RunAll over an explicit case list.
+func runCases(cases []apps.TestCase, cfg Config, sup campaign.Config, plane *telemetry.Plane) ([]Row, *campaign.Run[Row], error) {
 	if sup.Journal != "" {
 		return nil, nil, fmt.Errorf("difftest: rows are not journal-serializable; supervised difftest runs cannot resume")
-	}
-	cases := apps.All()
-	if sup.Workers == 0 {
-		sup.Workers = cfg.Workers
 	}
 	if sup.Observer == nil && plane != nil {
 		sup.Observer = plane
@@ -334,8 +292,8 @@ func RunAllSupervisedTelemetry(cfg Config, sup campaign.Config, plane *telemetry
 		N:    len(cases),
 		Kind: "difftest",
 		Key:  func(i int) string { return cases[i].Name },
-		Run: func(ctx context.Context, i int) (Row, error) {
-			row := RunCaseTraced(cases[i], cfg, plane.UnitTracer(i))
+		Run: func(_ context.Context, i int) (Row, error) {
+			row := runCase(cases[i], cfg, plane.UnitTracer(i))
 			if row.Err != nil {
 				// Surface the infrastructure failure to the supervisor so
 				// a transient one is retried and a persistent one is
@@ -359,12 +317,12 @@ func RunAllSupervisedTelemetry(cfg Config, sup campaign.Config, plane *telemetry
 		case campaign.StatusOK:
 			rows[i] = o.Result
 		case campaign.StatusQuarantined:
-			rows[i] = Row{
-				Name:       cases[i].Name,
-				ExpectDiff: cases[i].ExpectDiff,
-				Err: fmt.Errorf("quarantined by the campaign supervisor: %s after %d attempts",
-					o.FinalFailure(), len(o.Attempts)),
+			err := fmt.Errorf("quarantined by the campaign supervisor: %s after %d attempts",
+				o.FinalFailure(), len(o.Attempts))
+			if sup.Retries == 0 && o.FinalFailure() == campaign.FailError {
+				err = errors.New(o.Attempts[0].Err)
 			}
+			rows[i] = Row{Name: cases[i].Name, ExpectDiff: cases[i].ExpectDiff, Err: err}
 		}
 	}
 	return rows, run, nil
@@ -372,8 +330,8 @@ func RunAllSupervisedTelemetry(cfg Config, sup campaign.Config, plane *telemetry
 
 // MergeMetrics folds every row's per-flavour registries into one
 // campaign-wide registry — the snapshot-then-merge pattern that lets the
-// worker pool record without shared-registry contention. Rows without
-// metrics (errored, or Config.Metrics off) contribute nothing.
+// supervisor's workers record without shared-registry contention. Rows
+// without metrics (errored, or Config.Metrics off) contribute nothing.
 func MergeMetrics(rows []Row) *metrics.Registry {
 	out := metrics.NewRegistry()
 	for _, r := range rows {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ticktock/internal/apps"
+	"ticktock/internal/campaign"
 	"ticktock/internal/kernel"
 	"ticktock/internal/monolithic"
 )
@@ -25,8 +26,19 @@ func TestCampaignHasTwentyOneCases(t *testing.T) {
 	}
 }
 
+// mustRunAll runs the release campaign and fails the test on a
+// supervisor error.
+func mustRunAll(t *testing.T, cfg Config, sup campaign.Config) []Row {
+	t.Helper()
+	rows, _, err := RunAll(cfg, sup, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 func TestDifferentialCampaign(t *testing.T) {
-	rows := RunAll()
+	rows := mustRunAll(t, Config{}, campaign.Config{})
 	for _, r := range rows {
 		if r.Err != nil {
 			t.Errorf("%s: %v", r.Name, r.Err)
@@ -43,9 +55,22 @@ func TestDifferentialCampaign(t *testing.T) {
 	}
 }
 
+// TestParallelCampaignMatchesSequential pins the worker-count contract:
+// one worker and eight workers with a retry budget render the same
+// table byte for byte and the same outputs row by row, and with nothing
+// for the supervisor to do every case completes on its first attempt.
 func TestParallelCampaignMatchesSequential(t *testing.T) {
-	seq := RunAllConfig(Config{Workers: 1})
-	par := RunAllConfig(Config{Workers: 8})
+	seq := mustRunAll(t, Config{}, campaign.Config{Workers: 1})
+	par, run, err := RunAll(Config{}, campaign.Config{Workers: 8, Retries: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Stats.Quarantined != 0 || run.Stats.Retries != 0 || run.Stats.Completed != uint64(len(par)) {
+		t.Fatalf("stats %+v", run.Stats)
+	}
+	if got, want := Table(par), Table(seq); got != want {
+		t.Fatalf("8-worker table differs from 1-worker table:\n got:\n%s\nwant:\n%s", got, want)
+	}
 	if len(seq) != len(par) {
 		t.Fatalf("row counts differ: %d vs %d", len(seq), len(par))
 	}
@@ -67,7 +92,7 @@ func TestStackGrowthStillFaultsOnBothKernels(t *testing.T) {
 		if tc.Name != "stack_growth" {
 			continue
 		}
-		row := RunCase(tc)
+		row := RunCaseConfig(tc, Config{})
 		if row.Err != nil {
 			t.Fatal(row.Err)
 		}
@@ -123,7 +148,8 @@ func TestDivergenceDumpOnForcedMismatch(t *testing.T) {
 
 // TestErroredCaseIsRecordedNotFatal feeds the campaign a case that
 // cannot load (its RAM demand exceeds the whole process pool) and checks
-// the error is recorded per-row and tallied, not propagated.
+// the error is recorded per-row and tallied, not propagated — and that,
+// with no retries, the table shows the case's own error text.
 func TestErroredCaseIsRecordedNotFatal(t *testing.T) {
 	broken := apps.TestCase{
 		Name: "unloadable",
@@ -133,9 +159,16 @@ func TestErroredCaseIsRecordedNotFatal(t *testing.T) {
 			Build: apps.All()[0].Apps[0].Build,
 		}},
 	}
-	row := RunCase(broken)
+	rows, run, err := runCases([]apps.TestCase{broken}, Config{}, campaign.Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := rows[0]
 	if row.Err == nil {
 		t.Fatal("expected a load error")
+	}
+	if run.Stats.Errors != 1 || run.Stats.Quarantined != 1 {
+		t.Fatalf("stats %+v", run.Stats)
 	}
 	if row.OK() {
 		t.Fatal("errored row must not be OK")
@@ -144,8 +177,13 @@ func TestErroredCaseIsRecordedNotFatal(t *testing.T) {
 	if s.Errored != 1 || s.Unexpected != 0 {
 		t.Fatalf("summary=%+v", s)
 	}
-	if tab := Table([]Row{row}); !strings.Contains(tab, "ERROR") || !strings.Contains(tab, "1 errored") {
-		t.Fatalf("table:\n%s", tab)
+	direct := RunCaseConfig(broken, Config{})
+	if direct.Err == nil {
+		t.Fatal("expected a load error from the single-case path")
+	}
+	tab := Table(rows)
+	if !strings.Contains(tab, "ERROR: "+direct.Err.Error()) || !strings.Contains(tab, "1 errored") {
+		t.Fatalf("table does not show the case's own error %q:\n%s", direct.Err, tab)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ticktock/internal/apps"
+	"ticktock/internal/campaign"
 	"ticktock/internal/kernel"
 	"ticktock/internal/metrics"
 	"ticktock/internal/monolithic"
@@ -121,11 +122,11 @@ func TestMeteredRunCyclesMatchUnmetered(t *testing.T) {
 	}
 }
 
-// TestCampaignMergeAndExport runs the whole campaign with metrics on a
-// worker pool, merges the per-case snapshots, and checks the merged
+// TestCampaignMergeAndExport runs the whole campaign with metrics on
+// four workers, merges the per-case snapshots, and checks the merged
 // registry and profile are consistent with the per-row data.
 func TestCampaignMergeAndExport(t *testing.T) {
-	rows := RunAllConfig(Config{Metrics: true, Workers: 4})
+	rows := mustRunAll(t, Config{Metrics: true}, campaign.Config{Workers: 4})
 	var wantSwitches, wantCycles uint64
 	for _, r := range rows {
 		if r.Err != nil {

@@ -4,15 +4,19 @@ import (
 	"strings"
 	"testing"
 
+	"ticktock/internal/apps"
 	"ticktock/internal/campaign"
 )
 
 // TestRunAllSupervisedMatchesPlain: with nothing for the supervisor to
-// do, the supervised campaign renders the exact table the plain pool
-// renders.
+// do, the supervised campaign renders the exact table that running each
+// case directly, with no campaign engine in between, renders.
 func TestRunAllSupervisedMatchesPlain(t *testing.T) {
-	plain := RunAllConfig(Config{})
-	rows, run, err := RunAllSupervised(Config{}, campaign.Config{Retries: 1})
+	var plain []Row
+	for _, tc := range apps.All() {
+		plain = append(plain, RunCaseConfig(tc, Config{}))
+	}
+	rows, run, err := RunAll(Config{}, campaign.Config{Retries: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,10 +29,10 @@ func TestRunAllSupervisedMatchesPlain(t *testing.T) {
 }
 
 // TestRunAllSupervisedRejectsJournal: difftest rows carry live error
-// values and registries, so supervised difftest runs must refuse a
-// resume journal instead of silently losing state.
+// values and registries, so the supervised difftest campaign must refuse
+// a resume journal instead of silently losing state.
 func TestRunAllSupervisedRejectsJournal(t *testing.T) {
-	_, _, err := RunAllSupervised(Config{}, campaign.Config{Journal: t.TempDir() + "/j"})
+	_, _, err := RunAll(Config{}, campaign.Config{Journal: t.TempDir() + "/j"}, nil)
 	if err == nil || !strings.Contains(err.Error(), "not journal-serializable") {
 		t.Fatalf("journaled difftest should be rejected, got %v", err)
 	}

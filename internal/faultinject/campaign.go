@@ -3,12 +3,11 @@ package faultinject
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"ticktock/internal/apps"
 	"ticktock/internal/armv7m"
+	"ticktock/internal/campaign"
 	"ticktock/internal/difftest"
 	"ticktock/internal/flightrec"
 	"ticktock/internal/kernel"
@@ -48,55 +47,29 @@ func rvApps() map[string]rvkernel.App {
 	return out
 }
 
-// Run executes the campaign on a worker pool. Scenarios are independent
-// kernel pairs, so they parallelize freely; results land by index, so
-// the report is identical under any worker count.
+// Run executes the campaign under the campaign supervisor with no
+// timeout, retry budget, journal or telemetry: RunSupervised with a
+// zero campaign.Config. Scenarios are independent kernel pairs, so they
+// parallelize freely; results land by index, so the report is identical
+// under any worker count. Run panics on a Config that RunSupervised
+// rejects (a negative N or a malformed Chaos spec); use RunSupervised
+// to get the error instead.
 func Run(cfg Config) *Report {
-	cfg = cfg.withDefaults()
-	scenarios := GenScenarios(cfg)
-	results := make([]Result, len(scenarios))
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	rep, _, err := RunSupervised(cfg, campaign.Config{}, nil)
+	if err != nil {
+		panic(err)
 	}
-	if workers > len(scenarios) {
-		workers = len(scenarios)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i] = RunScenario(scenarios[i], cfg)
-			}
-		}()
-	}
-	for i := range scenarios {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	rep := &Report{Config: cfg, Results: results}
-	rep.tally()
 	return rep
 }
 
 // RunScenario executes one scenario on both ports: an uninjected
 // baseline and an injected run each, classifying the injected run
-// against its baseline.
-func RunScenario(sc Scenario, cfg Config) Result {
-	return RunScenarioTraced(sc, cfg, nil)
-}
-
-// RunScenarioTraced is RunScenario with a kernel tracer attached to the
-// *injected* runs on both ports — the hook the live telemetry plane
-// uses to nest a scenario's kernel events under its attempt span in the
-// fleet timeline. The tracer observes the cycle meter without charging
-// it, so a traced Result is identical to an untraced one. A nil tracer
-// is exactly RunScenario.
-func RunScenarioTraced(sc Scenario, cfg Config, tr *trace.Tracer) Result {
+// against its baseline. A non-nil tracer is attached to the *injected*
+// runs on both ports — the hook the live telemetry plane uses to nest a
+// scenario's kernel events under its attempt span in the fleet
+// timeline. The tracer observes the cycle meter without charging it, so
+// a traced Result is identical to an untraced one.
+func RunScenario(sc Scenario, cfg Config, tr *trace.Tracer) Result {
 	cfg = cfg.withDefaults()
 	return Result{
 		Scenario: sc,
@@ -105,20 +78,13 @@ func RunScenarioTraced(sc Scenario, cfg Config, tr *trace.Tracer) Result {
 	}
 }
 
-// RecordScenario re-runs one scenario's *injected* run on both ports
-// under the flight recorder, regardless of outcome, and returns the two
-// recordings. The runs are deterministic, so replaying either recording
-// reproduces the injected faults exactly as the campaign saw them — the
-// injection comes back from the recorded state, it is never re-rolled.
-func RecordScenario(sc Scenario, cfg Config) (arm, rv *flightrec.Recording, err error) {
-	return RecordRuns(sc, cfg, true)
-}
-
 // RecordRuns re-runs one scenario on both ports under the flight
 // recorder, with or without the injection armed — the uninjected
 // recording is the clean twin a campaign violation is bisected against
-// (runpack's auto-distillation). Same determinism contract as
-// RecordScenario.
+// (runpack's auto-distillation). The runs are deterministic, so
+// replaying an injected recording reproduces the injected faults exactly
+// as the campaign saw them — the injection comes back from the recorded
+// state, it is never re-rolled.
 //
 // The contract is both-or-neither: a caller never receives one port's
 // recording alongside an error for the other (a half pair would seal

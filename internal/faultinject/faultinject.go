@@ -131,7 +131,8 @@ type Config struct {
 	Seed int64
 	// N is the scenario count (0 means DefaultScenarios).
 	N int
-	// Workers sizes the worker pool (0 means GOMAXPROCS).
+	// Workers sizes the supervisor's shard pool when the
+	// campaign.Config leaves it zero (0 means GOMAXPROCS).
 	Workers int
 	// MaxRestarts, Watchdog and BackoffBase configure the supervised
 	// kernels (zero means the campaign defaults 2, 3 and 512).
@@ -155,13 +156,14 @@ type Config struct {
 	// machine ran the fast core, so the parity test can prove each arm
 	// ran the core it claims. Called from worker goroutines.
 	onCore func(fast bool)
-	// Chaos injects failures into the *campaign machinery itself* when
-	// the campaign runs supervised (RunSupervised): a spec like
-	// "wedge:3,panic:5,flaky:7" wedges scenario 3 until its timeout,
-	// panics inside scenario 5 and makes scenario 7 fail its first
-	// attempt. It exercises the supervisor's timeout, crash-recovery,
-	// retry and quarantine paths end to end; unsupervised Run ignores
-	// it. See ParseChaos.
+	// Chaos injects failures into the *campaign machinery itself*: a
+	// spec like "wedge:3,panic:5,flaky:7" wedges scenario 3 until its
+	// timeout, panics inside scenario 5 and makes scenario 7 fail its
+	// first attempt. Units wraps its source in campaign.Chaos, so every
+	// entry point honours it; it exercises the supervisor's timeout,
+	// crash-recovery, retry and quarantine paths end to end. A wedge
+	// only ends at a supervisor Timeout, so a wedging spec under Run
+	// (no timeout) never returns. See campaign.ParseChaos.
 	Chaos string
 }
 
@@ -243,33 +245,40 @@ func GenScenarios(cfg Config) []Scenario {
 	cfg = cfg.withDefaults()
 	out := make([]Scenario, cfg.N)
 	for i := range out {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*1000003))
-		sc := Scenario{
-			Index:       i,
-			App:         sharedApps[rng.Intn(len(sharedApps))],
-			Kind:        Kind(rng.Intn(numKinds)),
-			Quantum:     1 + rng.Intn(15),
-			Nth:         1 + rng.Intn(10),
-			Entry:       rng.Intn(16),
-			BitAddr:     uint(rng.Intn(32)),
-			BitAttr:     uint(rng.Intn(32)),
-			AttrReg:     rng.Intn(2) == 1,
-			XorVal:      rng.Uint32(),
-			ArgIdx:      rng.Intn(4),
-			JitterDelta: int64(rng.Intn(10000) - 5000),
-			Quarantine:  rng.Intn(2) == 1,
-			Monolithic:  rng.Intn(2) == 1,
-			Chip:        rng.Intn(3),
-		}
-		if sc.XorVal == 0 {
-			sc.XorVal = 1
-		}
-		if sc.JitterDelta == 0 {
-			sc.JitterDelta = 1
-		}
-		out[i] = sc
+		out[i] = scenarioAt(cfg.Seed, i)
 	}
 	return out
+}
+
+// scenarioAt derives scenario i of the campaign with master seed seed.
+// Seeding its generator dominates the cost, so callers that need only a
+// few scenarios derive just those.
+func scenarioAt(seed int64, i int) Scenario {
+	rng := rand.New(rand.NewSource(seed + int64(i)*1000003))
+	sc := Scenario{
+		Index:       i,
+		App:         sharedApps[rng.Intn(len(sharedApps))],
+		Kind:        Kind(rng.Intn(numKinds)),
+		Quantum:     1 + rng.Intn(15),
+		Nth:         1 + rng.Intn(10),
+		Entry:       rng.Intn(16),
+		BitAddr:     uint(rng.Intn(32)),
+		BitAttr:     uint(rng.Intn(32)),
+		AttrReg:     rng.Intn(2) == 1,
+		XorVal:      rng.Uint32(),
+		ArgIdx:      rng.Intn(4),
+		JitterDelta: int64(rng.Intn(10000) - 5000),
+		Quarantine:  rng.Intn(2) == 1,
+		Monolithic:  rng.Intn(2) == 1,
+		Chip:        rng.Intn(3),
+	}
+	if sc.XorVal == 0 {
+		sc.XorVal = 1
+	}
+	if sc.JitterDelta == 0 {
+		sc.JitterDelta = 1
+	}
+	return sc
 }
 
 // runSignature is what classification compares between the baseline and

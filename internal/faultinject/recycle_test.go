@@ -79,11 +79,11 @@ func TestRecycledBoardsKeepVerdicts(t *testing.T) {
 func TestScenarioAllocationGuard(t *testing.T) {
 	cfg := Config{Seed: 11, N: 50}.withDefaults()
 	scenarios := GenScenarios(cfg)
-	RunScenario(scenarios[0], cfg) // fill the pool
+	RunScenario(scenarios[0], cfg, nil) // fill the pool
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for _, sc := range scenarios {
-		RunScenario(sc, cfg)
+		RunScenario(sc, cfg, nil)
 	}
 	runtime.ReadMemStats(&after)
 	mean := (after.TotalAlloc - before.TotalAlloc) / uint64(len(scenarios))

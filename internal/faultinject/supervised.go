@@ -1,13 +1,13 @@
 package faultinject
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"ticktock/internal/campaign"
+	"ticktock/internal/telemetry"
 )
 
 // This file splits the campaign into supervised units and runs it under
@@ -46,55 +46,41 @@ func (c Config) Fingerprint() []byte {
 	return out
 }
 
-// Chaos modes for ParseChaos.
-const (
-	// ChaosWedge blocks the scenario until the supervisor's timeout
-	// cancels it — the wedged-emulator failure mode.
-	ChaosWedge = "wedge"
-	// ChaosPanic panics inside the scenario — the worker-crash failure
-	// mode.
-	ChaosPanic = "panic"
-	// ChaosFlaky fails the scenario's first attempt with a transient
-	// error, then runs it normally — the retry-then-succeed mode.
-	ChaosFlaky = "flaky"
-)
-
-// ParseChaos parses a chaos spec ("wedge:3,panic:5,flaky:7") into a
-// scenario-index -> mode map. The spec is the supervisor's test/ops
-// hook: it injects failures into the *campaign machinery* around real
-// scenario indices, exercising timeout classification, crash recovery,
-// retry budgets and poison quarantine end to end.
-func ParseChaos(spec string) (map[int]string, error) {
-	out := map[int]string{}
-	if spec == "" {
-		return out, nil
-	}
-	for _, part := range strings.Split(spec, ",") {
-		mode, idxs, ok := strings.Cut(strings.TrimSpace(part), ":")
-		if !ok {
-			return nil, fmt.Errorf("faultinject: chaos entry %q is not mode:index", part)
-		}
-		switch mode {
-		case ChaosWedge, ChaosPanic, ChaosFlaky:
-		default:
-			return nil, fmt.Errorf("faultinject: unknown chaos mode %q (want wedge, panic or flaky)", mode)
-		}
-		i, err := strconv.Atoi(idxs)
-		if err != nil || i < 0 {
-			return nil, fmt.Errorf("faultinject: chaos entry %q: bad scenario index", part)
-		}
-		if prev, dup := out[i]; dup {
-			return nil, fmt.Errorf("faultinject: scenario %d has two chaos modes (%s, %s)", i, prev, mode)
-		}
-		out[i] = mode
-	}
-	return out, nil
-}
-
 // Units splits the campaign into supervised units — one scenario per
 // unit, journal-codec'd as JSON — for campaign.Supervise.
 func Units(cfg Config) (campaign.Source[Result], error) {
 	return UnitsTelemetry(cfg, nil)
+}
+
+// UnitsTelemetry is Units with a live telemetry plane attached: every
+// attempt's injected runs feed a kernel tracer drawn from the plane's
+// nest budget, and completed units register a publish closure that the
+// plane folds into its streaming aggregate when the supervisor marks
+// the unit terminal. A nil plane is exactly Units. A Config.Chaos spec
+// wraps the source in campaign.Chaos.
+func UnitsTelemetry(cfg Config, plane *telemetry.Plane) (campaign.Source[Result], error) {
+	cfg = cfg.withDefaults()
+	if cfg.N < 0 {
+		return campaign.Source[Result]{}, fmt.Errorf("faultinject: negative scenario count %d", cfg.N)
+	}
+	scenarios := GenScenarios(cfg)
+	return campaign.Chaos(campaign.Source[Result]{
+		N:           len(scenarios),
+		Kind:        SupervisedKind,
+		Fingerprint: cfg.Fingerprint(),
+		Key:         func(i int) string { return scenarios[i].Label() },
+		Run: func(_ context.Context, i int) (Result, error) {
+			res := RunScenario(scenarios[i], cfg, plane.UnitTracer(i))
+			plane.UnitObservation(i, res.publishUnit)
+			return res, nil
+		},
+		Encode: func(r Result) ([]byte, error) { return json.Marshal(r) },
+		Decode: func(b []byte) (Result, error) {
+			var r Result
+			err := json.Unmarshal(b, &r)
+			return r, err
+		},
+	}, cfg.Chaos)
 }
 
 // RunSupervised executes the campaign under the crash-resilient
@@ -102,9 +88,31 @@ func Units(cfg Config) (campaign.Source[Result], error) {
 // aggregates are derived from terminal outcomes only, so they are
 // byte-identical at any worker count and across interrupt/resume; the
 // invocation-local stats (steals, resume count) live in run.Stats and
-// go to metrics, never into the report.
-func RunSupervised(cfg Config, sup campaign.Config) (*Report, *campaign.Run[Result], error) {
-	return RunSupervisedTelemetry(cfg, sup, nil)
+// go to metrics, never into the report. sup.Workers defaults to
+// cfg.Workers.
+//
+// A non-nil plane is the live telemetry plane: it becomes the
+// supervisor's observer (when the caller has not installed one) and
+// receives per-unit tracers and metric publishes. Telemetry observes
+// the campaign, it never steers it: the Report and Run are
+// byte-identical with and without a plane.
+func RunSupervised(cfg Config, sup campaign.Config, plane *telemetry.Plane) (*Report, *campaign.Run[Result], error) {
+	cfg = cfg.withDefaults()
+	src, err := UnitsTelemetry(cfg, plane)
+	if err != nil {
+		return nil, nil, err
+	}
+	if sup.Workers == 0 {
+		sup.Workers = cfg.Workers
+	}
+	if sup.Observer == nil && plane != nil {
+		sup.Observer = plane
+	}
+	run, err := campaign.Supervise(sup, src)
+	if err != nil {
+		return nil, run, err
+	}
+	return ReportFromRun(cfg, run), run, nil
 }
 
 // ReportFromRun folds supervised outcomes into the campaign report.
@@ -113,7 +121,6 @@ func RunSupervised(cfg Config, sup campaign.Config) (*Report, *campaign.Run[Resu
 // section tallies them deterministically.
 func ReportFromRun(cfg Config, run *campaign.Run[Result]) *Report {
 	cfg = cfg.withDefaults()
-	scenarios := GenScenarios(cfg)
 	results := make([]Result, len(run.Outcomes))
 	sup := &Supervision{}
 	for i, o := range run.Outcomes {
@@ -132,18 +139,19 @@ func ReportFromRun(cfg Config, run *campaign.Run[Result]) *Report {
 			results[i] = o.Result
 			sup.Retries += uint64(len(o.Attempts))
 		case campaign.StatusQuarantined:
+			sc := scenarioAt(cfg.Seed, i)
 			results[i] = Result{
-				Scenario: scenarios[i],
+				Scenario: sc,
 				Sup:      fmt.Sprintf("quarantined (%s after %d attempts)", o.FinalFailure(), len(o.Attempts)),
 			}
 			sup.Retries += uint64(len(o.Attempts) - 1)
 			sup.Quarantined = append(sup.Quarantined, QuarantinedScenario{
-				Label:    scenarios[i].Label(),
+				Label:    sc.Label(),
 				Failure:  o.FinalFailure(),
 				Attempts: len(o.Attempts),
 			})
 		case campaign.StatusPending:
-			results[i] = Result{Scenario: scenarios[i], Sup: "pending (interrupted)"}
+			results[i] = Result{Scenario: scenarioAt(cfg.Seed, i), Sup: "pending (interrupted)"}
 			sup.Pending++
 		}
 	}

@@ -7,24 +7,30 @@ import (
 	"time"
 
 	"ticktock/internal/campaign"
+	"ticktock/internal/telemetry"
 )
 
-// TestSupervisedMatchesUnsupervised pins the byte-compatibility
-// contract: a supervised campaign with nothing for the supervisor to do
-// renders exactly the bytes the plain worker pool renders — which is
-// what keeps the committed regression runpacks verifiable.
-func TestSupervisedMatchesUnsupervised(t *testing.T) {
+// TestSupervisedWorkerCountDeterminism pins the worker-count contract
+// of the one campaign engine: one worker and eight workers with a retry
+// budget and a telemetry plane render the same report byte for byte,
+// and a campaign with nothing for the supervisor to do grows no
+// supervision section — which is what keeps the committed regression
+// runpacks verifiable.
+func TestSupervisedWorkerCountDeterminism(t *testing.T) {
 	cfg := Config{Seed: 42, N: 12}
-	plain := Run(cfg)
-	rep, run, err := RunSupervised(cfg, campaign.Config{Workers: 3})
+	seq, _, err := RunSupervised(cfg, campaign.Config{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Sup != nil {
-		t.Fatalf("clean supervised run grew a supervision section: %+v", rep.Sup)
+	rep, run, err := RunSupervised(cfg, campaign.Config{Workers: 8, Retries: 1}, telemetry.New())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := rep.Text(), plain.Text(); got != want {
-		t.Fatalf("supervised text differs from unsupervised:\n got:\n%s\nwant:\n%s", got, want)
+	if rep.Sup != nil || seq.Sup != nil {
+		t.Fatalf("clean supervised run grew a supervision section: %+v / %+v", rep.Sup, seq.Sup)
+	}
+	if got, want := rep.Text(), seq.Text(); got != want {
+		t.Fatalf("8-worker report differs from 1-worker report:\n got:\n%s\nwant:\n%s", got, want)
 	}
 	if run.Stats.Completed != 12 || run.Stats.Quarantined != 0 {
 		t.Fatalf("stats %+v", run.Stats)
@@ -37,7 +43,7 @@ func TestSupervisedMatchesUnsupervised(t *testing.T) {
 // the final report must be byte-identical to an uninterrupted run's.
 func TestSupervisedKillAndResumeDeterminism(t *testing.T) {
 	cfg := Config{Seed: 42, N: 10}
-	uninterrupted, _, err := RunSupervised(cfg, campaign.Config{Workers: 3})
+	uninterrupted, _, err := RunSupervised(cfg, campaign.Config{Workers: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +56,7 @@ func TestSupervisedKillAndResumeDeterminism(t *testing.T) {
 		journal := filepath.Join(t.TempDir(), "campaign.journal")
 		first, run1, err := RunSupervised(cfg, campaign.Config{
 			Workers: 2, Journal: journal, StopAfter: stopAfter, CheckpointEvery: 3,
-		})
+		}, nil)
 		if err != nil {
 			t.Fatalf("stopAfter=%d: %v", stopAfter, err)
 		}
@@ -65,7 +71,7 @@ func TestSupervisedKillAndResumeDeterminism(t *testing.T) {
 			t.Fatalf("stopAfter=%d: interrupted text lacks supervision line", stopAfter)
 		}
 
-		resumed, run2, err := RunSupervised(cfg, campaign.Config{Workers: 5, Journal: journal})
+		resumed, run2, err := RunSupervised(cfg, campaign.Config{Workers: 5, Journal: journal}, nil)
 		if err != nil {
 			t.Fatalf("stopAfter=%d resume: %v", stopAfter, err)
 		}
@@ -88,7 +94,7 @@ func TestSupervisedChaosQuarantine(t *testing.T) {
 	cfg := Config{Seed: 42, N: 8, Chaos: "wedge:1,panic:3,flaky:5"}
 	rep, run, err := RunSupervised(cfg, campaign.Config{
 		Workers: 4, Timeout: 500 * time.Millisecond, Retries: 1,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +144,7 @@ func TestSupervisedChaosQuarantine(t *testing.T) {
 func TestSupervisedQuarantineSurvivesResume(t *testing.T) {
 	cfg := Config{Seed: 42, N: 6, Chaos: "panic:0"}
 	sup := campaign.Config{Workers: 1, Retries: 1, Clock: &campaign.FakeClock{}}
-	straight, _, err := RunSupervised(cfg, sup)
+	straight, _, err := RunSupervised(cfg, sup, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +152,7 @@ func TestSupervisedQuarantineSurvivesResume(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "campaign.journal")
 	supJ := sup
 	supJ.Journal, supJ.StopAfter = journal, 2
-	if _, run1, err := RunSupervised(cfg, supJ); err != nil {
+	if _, run1, err := RunSupervised(cfg, supJ, nil); err != nil {
 		t.Fatal(err)
 	} else if run1.Outcomes[0].Status != campaign.StatusQuarantined {
 		// Worker 1 walks its shard front-to-back, so scenario 0 is in
@@ -155,7 +161,7 @@ func TestSupervisedQuarantineSurvivesResume(t *testing.T) {
 	}
 	supR := sup
 	supR.Journal = journal
-	resumed, run2, err := RunSupervised(cfg, supR)
+	resumed, run2, err := RunSupervised(cfg, supR, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,27 +200,6 @@ func TestRecordRunsBothOrNeither(t *testing.T) {
 	}
 }
 
-func TestParseChaos(t *testing.T) {
-	got, err := ParseChaos("wedge:3, panic:5,flaky:7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[int]string{3: ChaosWedge, 5: ChaosPanic, 7: ChaosFlaky}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i, m := range want {
-		if got[i] != m {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	for _, bad := range []string{"wedge", "explode:3", "wedge:x", "wedge:-1", "wedge:3,panic:3"} {
-		if _, err := ParseChaos(bad); err == nil {
-			t.Errorf("ParseChaos(%q) should fail", bad)
-		}
-	}
-}
-
 func TestReportEmpty(t *testing.T) {
 	if !(&Report{}).Empty() {
 		t.Fatal("zero-scenario report should be empty")
@@ -238,5 +223,16 @@ func TestReportEmpty(t *testing.T) {
 	quarantined.tally()
 	if quarantined.Empty() {
 		t.Fatal("quarantine evidence should not be empty")
+	}
+}
+
+// TestUnitsRejectNegativeN: a negative scenario count is an error from
+// the unit source, never a panic in the scenario generator.
+func TestUnitsRejectNegativeN(t *testing.T) {
+	if _, err := Units(Config{N: -1}); err == nil || !strings.Contains(err.Error(), "negative scenario count") {
+		t.Fatalf("Units(N=-1): %v", err)
+	}
+	if _, _, err := RunSupervised(Config{N: -1}, campaign.Config{Retries: 1}, nil); err == nil {
+		t.Fatal("RunSupervised(N=-1) should fail")
 	}
 }

@@ -1,23 +1,11 @@
 package faultinject
 
-import (
-	"context"
-	"encoding/json"
-	"fmt"
-	"sync"
+import "ticktock/internal/metrics"
 
-	"ticktock/internal/campaign"
-	"ticktock/internal/metrics"
-	"ticktock/internal/telemetry"
-)
-
-// This file connects the supervised campaign to the live telemetry
-// plane: each unit's injected runs carry a per-attempt kernel tracer
-// (nested under the attempt span in the fleet timeline), and each
+// This file is the campaign's side of the live telemetry plane: each
 // terminal unit publishes its slice of the fault_* series into the
-// plane's streaming aggregate. Everything here is nil-plane-safe and
-// adds nothing to the simulated cycle meter — a nil plane is exactly
-// the untelemetered path.
+// plane's streaming aggregate (UnitsTelemetry registers the closure).
+// It adds nothing to the simulated cycle meter.
 
 // publishUnit books one terminal result into a registry, mirroring
 // exactly the slice of Report.tally + Report.Publish this result
@@ -55,78 +43,4 @@ func (res Result) publishUnit(reg *metrics.Registry) {
 			reg.Counter("fault_quarantined_total", pl).Add(port.pr.QuarantineDelta)
 		}
 	}
-}
-
-// UnitsTelemetry is Units with a live telemetry plane attached: every
-// attempt's injected runs feed a kernel tracer drawn from the plane's
-// nest budget, and completed units register a publish closure that the
-// plane folds into its streaming aggregate when the supervisor marks
-// the unit terminal. A nil plane is exactly Units.
-func UnitsTelemetry(cfg Config, plane *telemetry.Plane) (campaign.Source[Result], error) {
-	cfg = cfg.withDefaults()
-	chaos, err := ParseChaos(cfg.Chaos)
-	if err != nil {
-		return campaign.Source[Result]{}, err
-	}
-	scenarios := GenScenarios(cfg)
-	var mu sync.Mutex
-	flakyFired := map[int]bool{}
-	return campaign.Source[Result]{
-		N:           len(scenarios),
-		Kind:        SupervisedKind,
-		Fingerprint: cfg.Fingerprint(),
-		Key:         func(i int) string { return scenarios[i].Label() },
-		Run: func(ctx context.Context, i int) (Result, error) {
-			switch chaos[i] {
-			case ChaosWedge:
-				// Hold the unit until the supervisor cancels it; the
-				// attempt is then classified as a timeout.
-				<-ctx.Done()
-				return Result{}, fmt.Errorf("chaos: scenario %d wedged until cancellation: %w", i, ctx.Err())
-			case ChaosPanic:
-				panic(fmt.Sprintf("chaos: scenario %d panicked", i))
-			case ChaosFlaky:
-				mu.Lock()
-				fired := flakyFired[i]
-				flakyFired[i] = true
-				mu.Unlock()
-				if !fired {
-					return Result{}, fmt.Errorf("chaos: scenario %d transient failure", i)
-				}
-			}
-			res := RunScenarioTraced(scenarios[i], cfg, plane.UnitTracer(i))
-			plane.UnitObservation(i, res.publishUnit)
-			return res, nil
-		},
-		Encode: func(r Result) ([]byte, error) { return json.Marshal(r) },
-		Decode: func(b []byte) (Result, error) {
-			var r Result
-			err := json.Unmarshal(b, &r)
-			return r, err
-		},
-	}, nil
-}
-
-// RunSupervisedTelemetry is RunSupervised with a live telemetry plane:
-// the plane becomes the supervisor's observer (when the caller has not
-// installed one) and receives per-unit tracers and metric publishes.
-// The Report and Run it returns are byte-identical to RunSupervised's —
-// telemetry observes the campaign, it never steers it.
-func RunSupervisedTelemetry(cfg Config, sup campaign.Config, plane *telemetry.Plane) (*Report, *campaign.Run[Result], error) {
-	cfg = cfg.withDefaults()
-	src, err := UnitsTelemetry(cfg, plane)
-	if err != nil {
-		return nil, nil, err
-	}
-	if sup.Workers == 0 {
-		sup.Workers = cfg.Workers
-	}
-	if sup.Observer == nil && plane != nil {
-		sup.Observer = plane
-	}
-	run, err := campaign.Supervise(sup, src)
-	if err != nil {
-		return nil, run, err
-	}
-	return ReportFromRun(cfg, run), run, nil
 }

@@ -18,9 +18,9 @@ import (
 func TestRunScenarioTracedMatchesUntraced(t *testing.T) {
 	cfg := Config{Seed: 42, N: 4}
 	for _, sc := range GenScenarios(cfg) {
-		plain := RunScenario(sc, cfg)
+		plain := RunScenario(sc, cfg, nil)
 		tr := trace.New(4096)
-		traced := RunScenarioTraced(sc, cfg, tr)
+		traced := RunScenario(sc, cfg, tr)
 		if !reflect.DeepEqual(plain, traced) {
 			t.Fatalf("%s: traced result differs from untraced:\nplain:  %+v\ntraced: %+v",
 				sc.Label(), plain, traced)
@@ -55,7 +55,7 @@ func TestLiveAggregateMatchesPostHocReport(t *testing.T) {
 	var first map[string]uint64
 	for _, workers := range []int{1, 2, 4} {
 		plane := telemetry.New()
-		rep, _, err := RunSupervisedTelemetry(cfg, campaign.Config{Workers: workers}, plane)
+		rep, _, err := RunSupervised(cfg, campaign.Config{Workers: workers}, plane)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -86,7 +86,7 @@ func TestLiveAggregateSkipsQuarantinedUnits(t *testing.T) {
 	cfg := Config{Seed: 42, N: 6, Chaos: "panic:1,flaky:3"}
 	plane := telemetry.New()
 	sup := campaign.Config{Workers: 2, Retries: 1, Clock: &campaign.FakeClock{}}
-	rep, run, err := RunSupervisedTelemetry(cfg, sup, plane)
+	rep, run, err := RunSupervised(cfg, sup, plane)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -237,7 +237,7 @@ func deriveFaultcampRegress(seed int64, n, scenario int) (*Regress, map[string]*
 		return nil, nil, fmt.Errorf("runpack: scenario %d out of range [0,%d)", scenario, len(scs))
 	}
 	sc := scs[scenario]
-	res := faultinject.RunScenario(sc, cfg)
+	res := faultinject.RunScenario(sc, cfg, nil)
 	if res.ARM.Err != "" || res.RV.Err != "" {
 		return nil, nil, fmt.Errorf("runpack: scenario %s errored: arm=%q rv=%q", sc.Label(), res.ARM.Err, res.RV.Err)
 	}
@@ -424,7 +424,7 @@ func CheckRegression(dir string, opts RegressOptions) error {
 		if r.Scenario < 0 || r.Scenario >= len(scs) {
 			return fmt.Errorf("runpack: %s: scenario %d out of range", dir, r.Scenario)
 		}
-		res := faultinject.RunScenario(scs[r.Scenario], cfg)
+		res := faultinject.RunScenario(scs[r.Scenario], cfg, nil)
 		if res.ARM.Err != "" || res.RV.Err != "" {
 			return fmt.Errorf("runpack: %s: re-running %s: arm=%q rv=%q", dir, r.ScenarioLabel, res.ARM.Err, res.RV.Err)
 		}

@@ -67,31 +67,21 @@ type faultcampConfig struct {
 	Chaos       string `json:"chaos,omitempty"`
 }
 
-// EmitFaultcamp seals a campaign run into a content-addressed pack
-// under root: the report text (result member), the per-scenario
-// cross-port rows, the fault_* metrics exposition, a witness recording
-// of scenario 0's injected run on both ports (the evidence replay
-// re-derives), and the flight recording of every violating run. The
-// receipt's command re-runs the campaign in-process.
-func EmitFaultcamp(root string, rep *faultinject.Report) (dir, receipt string, err error) {
-	return emitFaultcamp(root, rep, FaultcampCommand(rep.Config))
-}
-
-// EmitFaultcampSupervised seals a supervised campaign run. A clean
-// supervised report (no supervision section) is byte-identical to an
-// unsupervised one, so it keeps the plain faultcamp command and seals
-// to the identical pack; a report with supervision evidence gets the
-// supervised command, whose chaos/retry/timeout flags re-derive the
+// EmitFaultcampSupervised seals a campaign run into a
+// content-addressed pack under root: the report text (result member),
+// the per-scenario cross-port rows, the fault_* metrics exposition, a
+// witness recording of scenario 0's injected run on both ports (the
+// evidence replay re-derives), and the flight recording of every
+// violating run. The receipt's command re-runs the campaign in-process.
+// A clean report (no supervision section) gets the plain faultcamp
+// command, whatever sup says; a report with supervision evidence gets
+// the supervised command, whose chaos/retry/timeout flags re-derive the
 // supervision section exactly.
 func EmitFaultcampSupervised(root string, rep *faultinject.Report, sup campaign.Config) (dir, receipt string, err error) {
 	cmd := FaultcampCommand(rep.Config)
 	if rep.Sup != nil {
 		cmd = FaultcampSupervisedCommand(rep.Config, sup)
 	}
-	return emitFaultcamp(root, rep, cmd)
-}
-
-func emitFaultcamp(root string, rep *faultinject.Report, cmd string) (dir, receipt string, err error) {
 	cfg := rep.Config
 	b := NewBuilder(KindFaultcamp, cmd, faultcampConfig{
 		Seed: cfg.Seed, N: cfg.N,
@@ -112,7 +102,7 @@ func emitFaultcamp(root string, rep *faultinject.Report, cmd string) (dir, recei
 
 	if len(rep.Results) > 0 {
 		sc := rep.Results[0].Scenario
-		arm, rv, err := faultinject.RecordScenario(sc, cfg)
+		arm, rv, err := faultinject.RecordRuns(sc, cfg, true)
 		if err != nil {
 			return "", "", err
 		}

@@ -39,7 +39,9 @@ func FormatReceipt(r Receipt) string {
 }
 
 // ParseReceipt parses a receipt line back into its fields, rejecting
-// unknown versions, malformed fields and missing keys.
+// unknown versions, malformed fields and missing keys. Only cmd may be
+// quoted: FormatReceipt writes every other value bare, so a quoted one
+// (a kind with a space, say) could not survive the round trip.
 func ParseReceipt(line string) (Receipt, error) {
 	var r Receipt
 	rest, ok := strings.CutPrefix(line, receiptPrefix+" ")
@@ -60,6 +62,9 @@ func ParseReceipt(line string) (Receipt, error) {
 		rest = rest[eq+1:]
 		var val string
 		if strings.HasPrefix(rest, `"`) {
+			if key != "cmd" {
+				return r, fmt.Errorf("runpack: receipt key %s has a quoted value", key)
+			}
 			// Quoted value: find its end with the strconv grammar.
 			q, err := scanQuoted(rest)
 			if err != nil {
@@ -226,35 +231,22 @@ func FaultcampSupervisedCommand(cfg faultinject.Config, sup campaign.Config) str
 func executeFaultcamp(args []string) ([]byte, error) {
 	var cfg faultinject.Config
 	var sup campaign.Config
-	supervised := false
 	if err := parseFlags(args, map[string]func(string) error{
-		"-seed":  func(v string) (err error) { cfg.Seed, err = strconv.ParseInt(v, 10, 64); return },
-		"-n":     func(v string) (err error) { cfg.N, err = strconv.Atoi(v); return },
-		"-chaos": func(v string) error { cfg.Chaos = v; supervised = true; return nil },
-		"-retries": func(v string) (err error) {
-			sup.Retries, err = strconv.Atoi(v)
-			supervised = true
-			return
-		},
-		"-timeout": func(v string) (err error) {
-			sup.Timeout, err = time.ParseDuration(v)
-			supervised = true
-			return
-		},
+		"-seed":    func(v string) (err error) { cfg.Seed, err = strconv.ParseInt(v, 10, 64); return },
+		"-n":       func(v string) (err error) { cfg.N, err = strconv.Atoi(v); return },
+		"-chaos":   func(v string) error { cfg.Chaos = v; return nil },
+		"-retries": func(v string) (err error) { sup.Retries, err = strconv.Atoi(v); return },
+		"-timeout": func(v string) (err error) { sup.Timeout, err = time.ParseDuration(v); return },
 	}); err != nil {
 		return nil, err
 	}
-	if cfg.N == 0 {
-		return nil, fmt.Errorf("runpack: faultcamp command needs -n")
+	if cfg.N <= 0 {
+		return nil, fmt.Errorf("runpack: faultcamp command needs -n >= 1, got %d", cfg.N)
 	}
-	if supervised {
-		rep, _, err := faultinject.RunSupervised(cfg, sup)
-		if err != nil {
-			return nil, err
-		}
-		return []byte(rep.Text()), nil
+	rep, _, err := faultinject.RunSupervised(cfg, sup, nil)
+	if err != nil {
+		return nil, err
 	}
-	rep := faultinject.Run(cfg)
 	return []byte(rep.Text()), nil
 }
 
@@ -281,7 +273,10 @@ func executeDifftest(args []string) ([]byte, error) {
 		}
 		cfg.Bugs = b
 	}
-	rows := difftest.RunAllConfig(cfg)
+	rows, _, err := difftest.RunAll(cfg, campaign.Config{}, nil)
+	if err != nil {
+		return nil, err
+	}
 	return []byte(difftest.Table(rows)), nil
 }
 

@@ -45,6 +45,7 @@ func TestParseReceiptRejects(t *testing.T) {
 		{"no sha prefix", strings.Replace(valid, "manifest=sha256:", "manifest=", 1)},
 		{"unterminated cmd", strings.TrimSuffix(valid, `"`)},
 		{"unknown key", valid + " extra=1"},
+		{"quoted kind", strings.Replace(valid, "kind=replay", `kind="re play"`, 1)},
 		{"missing cmd", valid[:strings.Index(valid, " cmd=")]},
 		{"empty", ""},
 	}
@@ -94,7 +95,7 @@ func TestReceiptExecutesOnBothPorts(t *testing.T) {
 	// Re-derive the witness recordings for both ports and require
 	// byte-identical encodings plus matching replayed state digests.
 	sc := faultinject.GenScenarios(smallCampaign)[0]
-	arm, rv, err := faultinject.RecordScenario(sc, smallCampaign)
+	arm, rv, err := faultinject.RecordRuns(sc, smallCampaign, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,4 +172,50 @@ func TestExecuteReceiptRejectsUnknownCommand(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "no in-process executor") {
 		t.Fatalf("unknown command accepted: %v", err)
 	}
+}
+
+// TestExecuteReceiptRejectsNonPositiveN: a receipt read from disk may
+// carry any -n; a zero or negative count is refused with an error
+// rather than reaching the scenario generator.
+func TestExecuteReceiptRejectsNonPositiveN(t *testing.T) {
+	for _, cmd := range []string{
+		"faultcamp -seed 1 -n -1",
+		"faultcamp -seed 1 -n -1 -retries 1",
+		"faultcamp -seed 1 -n 0",
+		"faultcamp -seed 1",
+	} {
+		if _, err := ExecuteReceipt(Receipt{Command: cmd}); err == nil || !strings.Contains(err.Error(), "-n >= 1") {
+			t.Errorf("%q: want a -n error, got %v", cmd, err)
+		}
+	}
+}
+
+// FuzzReceipt holds the receipt parser to a round-trip property: any
+// line either fails to parse, or parses to a receipt that FormatReceipt
+// renders back into a line parsing to the same receipt — and neither
+// that nor tokenizing its command ever panics.
+func FuzzReceipt(f *testing.F) {
+	for _, seed := range []string{
+		`runpack/1 kind=faultcamp manifest=sha256:9fdc5d1f8f5cc84db464af45dbcb64a079dad2f7acc01c40b960f1e450618e59 result=sha256:d53dec97c4a263ca24a7d825b067ba1381bd7bebdfa546275edd00befcc7e3e2 cmd="faultcamp -seed 7 -n 20"`,
+		`runpack/1 kind=faultcamp manifest=sha256:` + strings.Repeat("ab", 32) + ` result=sha256:` + strings.Repeat("cd", 32) + ` cmd="faultcamp -seed 7 -n 12 -chaos \"wedge:2,panic:9\" -retries 1 -timeout 2s"`,
+		`runpack/1 kind=faultcamp manifest=sha256:` + strings.Repeat("ab", 32) + ` result=sha256:` + strings.Repeat("cd", 32) + ` cmd="faultcamp -seed 7`,
+		`runpack/1 kind=faultcamp kind=difftest manifest=sha256:` + strings.Repeat("ab", 32) + ` result=sha256:` + strings.Repeat("cd", 32) + ` cmd="difftest"`,
+		`runpack/1 kind="fault camp" manifest=sha256:` + strings.Repeat("ab", 32) + ` result=sha256:` + strings.Repeat("cd", 32) + ` cmd="difftest"`,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		r, err := ParseReceipt(line)
+		if err != nil {
+			return
+		}
+		again, err := ParseReceipt(FormatReceipt(r))
+		if err != nil {
+			t.Fatalf("formatted receipt does not parse: %v\nline: %q\nformatted: %q", err, line, FormatReceipt(r))
+		}
+		if again != r {
+			t.Fatalf("round trip changed the receipt:\n%+v\n%+v", r, again)
+		}
+		splitCommand(r.Command)
+	})
 }

@@ -20,6 +20,7 @@ package ticktock
 
 import (
 	"ticktock/internal/apps"
+	"ticktock/internal/campaign"
 	"ticktock/internal/cyclebench"
 	"ticktock/internal/difftest"
 	"ticktock/internal/fluxarm"
@@ -86,7 +87,10 @@ type TestCase = apps.TestCase
 // RunDifferentialCampaign executes all release tests on both kernel
 // flavours in parallel and reports the comparison rows (§6.1). Per-case
 // failures are recorded in each row's Err field.
-func RunDifferentialCampaign() []difftest.Row { return difftest.RunAll() }
+func RunDifferentialCampaign() []difftest.Row {
+	rows, _, _ := difftest.RunAll(difftest.Config{}, campaign.Config{}, nil) // no journal: cannot fail
+	return rows
+}
 
 // CompareCycles regenerates the Figure 11 cycle table.
 func CompareCycles() ([]cyclebench.Row, error) { return cyclebench.Compare() }
